@@ -3,11 +3,12 @@
 //
 // Every cell of the clients grid is served three ways:
 //
-//   shared    N shards attached to one striped SharedProofStore, arrivals
-//             dispatched in global order — the privacy-preserving sharded
-//             deployment. Its merged Case-2 set must equal the sequential
-//             reference *exactly*, for any --shards value, or the bench
-//             exits nonzero.
+//   shared    N shards attached to one SharedProofStore, arrivals
+//             dispatched in global order on one thread — the
+//             privacy-preserving sharded deployment. That thread is the
+//             store's only caller, so the store takes no locks. Its merged
+//             Case-2 set must equal the sequential reference *exactly*, for
+//             any --shards value, or the bench exits nonzero.
 //   private   N shard-private stacks served genuinely in parallel (one
 //             worker per shard) — the fast but re-leaking deployment. Its
 //             merged Case-2 must be >= the reference; when it re-leaks,
@@ -300,11 +301,12 @@ int main(int argc, char** argv) {
   bench::banner("Sharded serving: shared proof store vs. private vs. sequential");
   std::cout << "Each cell routes a ClientMix schedule across " << shards
             << " resolver shard(s) (" << serve::route_name(*route)
-            << " consistent-hash), twice: once with the striped shared\n"
-               "proof store (must leak exactly the sequential reference's\n"
-               "Case-2 set), once shard-private in parallel (re-leaks; the\n"
-               "store must strictly reduce it). --shards N, --route, --jobs\n"
-               "N (private-mode workers), --smoke for CI-sized cells.\n";
+            << " consistent-hash), twice: once with the shared proof store,\n"
+               "dispatched on one thread (must leak exactly the sequential\n"
+               "reference's Case-2 set), once shard-private in parallel\n"
+               "(re-leaks; the store must strictly reduce it). --shards N,\n"
+               "--route, --jobs N (private-mode workers), --smoke for\n"
+               "CI-sized cells.\n";
 
   const std::vector<std::uint32_t> client_grid =
       smoke ? std::vector<std::uint32_t>{2, 4}

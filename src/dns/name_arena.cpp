@@ -1,6 +1,5 @@
 #include "dns/name_arena.h"
 
-#include <mutex>
 #include <stdexcept>
 
 namespace lookaside::dns {
@@ -50,29 +49,6 @@ void NameArena::clear() {
   names_.clear();
   index_.clear();
   heap_bytes_ = 0;
-}
-
-NameId SharedNameArena::intern(const Name& name) {
-  std::unique_lock lock(mutex_);
-  return arena_.intern(name);
-}
-
-const Name& SharedNameArena::name(NameId id) const {
-  // The lock covers only the deque indexing: push_back never moves existing
-  // elements, and interned Names are immutable after the inserting thread
-  // releases the exclusive lock, so the reference outlives the lock.
-  std::shared_lock lock(mutex_);
-  return arena_.name(id);
-}
-
-std::size_t SharedNameArena::size() const {
-  std::shared_lock lock(mutex_);
-  return arena_.size();
-}
-
-std::uint64_t SharedNameArena::bytes() const {
-  std::shared_lock lock(mutex_);
-  return arena_.bytes();
 }
 
 }  // namespace lookaside::dns

@@ -19,19 +19,19 @@
 
 #include <cstdint>
 #include <deque>
-#include <shared_mutex>
 
 #include "dns/name.h"
 #include "dns/name_map.h"
 
 namespace lookaside::dns {
 
-/// A 32-bit handle into a NameArena / SharedNameArena.
+/// A 32-bit handle into a NameArena.
 using NameId = std::uint32_t;
 inline constexpr NameId kInvalidNameId = 0xFFFFFFFFu;
 
-/// Single-threaded interning arena. Use SharedNameArena for cross-shard
-/// structures.
+/// Interning arena. Single-owner: every holder (a resolver cache, the
+/// shared proof store, a signed zone) is driven from one thread at a time,
+/// so the arena carries no lock.
 class NameArena {
  public:
   /// Id for `name`, interning it on first sight. Idempotent: the same
@@ -59,23 +59,6 @@ class NameArena {
   std::deque<Name> names_;      // id -> canonical name; never reordered
   NameHashMap<NameId> index_;   // canonical name -> id
   std::uint64_t heap_bytes_ = 0;
-};
-
-/// Mutex-guarded arena for structures shared across resolver shards (the
-/// striped SharedProofStore). intern() takes the exclusive lock; name()
-/// takes the shared lock only for the deque indexing — the returned
-/// reference stays valid for the arena's lifetime because interned names
-/// are never moved or dropped (there is deliberately no clear()).
-class SharedNameArena {
- public:
-  NameId intern(const Name& name);
-  [[nodiscard]] const Name& name(NameId id) const;
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t bytes() const;
-
- private:
-  mutable std::shared_mutex mutex_;
-  NameArena arena_;
 };
 
 }  // namespace lookaside::dns

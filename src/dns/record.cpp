@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/bytes.h"
 
@@ -27,8 +28,13 @@ ResourceRecord ResourceRecord::make_typed(Name name, RRType type,
 }
 
 std::string ResourceRecord::to_text() const {
-  std::string out = name.to_text() + " " + std::to_string(ttl) + " IN " +
-                    rr_type_name(type);
+  // RFC 3597 §5: a class without a mnemonic prints as CLASS<n>.
+  const std::string class_text =
+      rr_class == RRClass::kIn
+          ? "IN"
+          : "CLASS" + std::to_string(static_cast<std::uint16_t>(rr_class));
+  std::string out = name.to_text() + " " + std::to_string(ttl) + " " +
+                    class_text + " " + rr_type_name(type);
   if (const auto* a = std::get_if<ARdata>(&rdata)) {
     out += " " + a->to_text();
   } else if (const auto* aaaa = std::get_if<AaaaRdata>(&rdata)) {
@@ -78,21 +84,23 @@ void RRset::add(ResourceRecord record) {
 Bytes canonical_rrset_image(const RRset& rrset, std::uint32_t original_ttl) {
   // Encode each record's RDATA once, then sort the encodings (RFC 4034
   // canonical RR ordering is by RDATA as a left-justified octet sequence).
-  std::vector<Bytes> rdata_images;
+  // Each record keeps its own CLASS (RFC 4034 §6.2, RFC 4035 §5.3.1): a
+  // rewritten class must change the signed image, not slip past it.
+  std::vector<std::pair<Bytes, RRClass>> rdata_images;
   rdata_images.reserve(rrset.size());
   for (const ResourceRecord& record : rrset.records()) {
     ByteWriter writer;
     encode_rdata(record.rdata, writer);
-    rdata_images.push_back(writer.take());
+    rdata_images.emplace_back(writer.take(), record.rr_class);
   }
   std::sort(rdata_images.begin(), rdata_images.end());
 
   ByteWriter out;
   const Bytes owner_wire = rrset.name().to_wire();
-  for (const Bytes& image : rdata_images) {
+  for (const auto& [image, rr_class] : rdata_images) {
     out.raw(owner_wire);
     out.u16(static_cast<std::uint16_t>(rrset.type()));
-    out.u16(static_cast<std::uint16_t>(RRClass::kIn));
+    out.u16(static_cast<std::uint16_t>(rr_class));
     out.u32(original_ttl);
     out.u16(static_cast<std::uint16_t>(image.size()));
     out.raw(image);

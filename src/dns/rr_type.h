@@ -27,7 +27,8 @@ enum class RRType : std::uint16_t {
   kDlv = 32769,
 };
 
-/// RR CLASS values; everything in this library is IN.
+/// RR CLASS values. Zones here serve only IN; a decoded record keeps the
+/// class its wire form carried, and the RRSIG image covers it.
 enum class RRClass : std::uint16_t {
   kIn = 1,
 };

@@ -289,6 +289,54 @@ void ResolverCache::rebuild_span_index(NsecZone& zone) {
   zone.index_generation = zone.generation;
 }
 
+NsecCoverage classify_nsec_span(const dns::Name& zone_apex,
+                                const dns::Name& owner,
+                                const dns::Name& next,
+                                const std::vector<dns::RRType>& types,
+                                const dns::Name& qname, dns::RRType qtype,
+                                bool* type_present) {
+  const auto has = [&types](dns::RRType type) {
+    return std::find(types.begin(), types.end(), type) != types.end();
+  };
+  // NS set, SOA clear: the owner is a delegation point, so this NSEC lives
+  // on the parent side of a zone cut.
+  const auto delegation = [&has] {
+    return has(dns::RRType::kNs) && !has(dns::RRType::kSoa);
+  };
+
+  if (owner == qname) {
+    // RFC 6840 §4.4: an ancestor-delegation NSEC proves nothing about the
+    // child zone's data except DS absence. Denying any other type from it
+    // would synthesize NODATA for names the child zone actually serves.
+    // The mirror image (RFC 4035 §2.3): DS lives only on the parent side
+    // of a cut, so a child-side NSEC (SOA set) proves nothing about DS —
+    // its bitmap legitimately omits DS even for a secure delegation.
+    if (delegation() != (qtype == dns::RRType::kDs)) {
+      return NsecCoverage::kNoProof;
+    }
+    // Exact NSEC: the name exists; the bitmap decides the type.
+    if (!has(qtype)) return NsecCoverage::kTypeAbsent;
+    if (type_present != nullptr) *type_present = true;
+    return NsecCoverage::kNoProof;
+  }
+
+  // Covering NSEC: owner < qname < next proves nonexistence. The chain's
+  // last record wraps: next == apex means "everything after owner".
+  if (next != zone_apex && qname.canonical_compare(next) >= 0) {
+    return NsecCoverage::kNoProof;
+  }
+  // RFC 6840 §4.4 again: names below a delegation-owner NSEC are occluded
+  // — the span (net. -> org.) proves nothing about anything *inside* the
+  // net. zone, only that no further names exist in the parent between the
+  // two delegations. Without this, a cap-evicted zone cut makes
+  // deepest_known_cut fall back to the parent and its delegation spans
+  // wrongly NXDOMAIN every child-zone query.
+  if (qname.is_subdomain_of(owner) && delegation()) {
+    return NsecCoverage::kNoProof;
+  }
+  return NsecCoverage::kNameCovered;
+}
+
 NsecCoverage ResolverCache::classify_nsec_entry(const dns::Name& zone_apex,
                                                 const dns::Name& owner,
                                                 NsecEntry& entry,
@@ -296,107 +344,49 @@ NsecCoverage ResolverCache::classify_nsec_entry(const dns::Name& zone_apex,
                                                 dns::RRType qtype,
                                                 std::uint64_t* expires_us,
                                                 bool* stop_shared) {
-  if (owner == qname) {
-    // RFC 6840 §4.4: an ancestor-delegation NSEC (NS set, SOA clear) lives
-    // on the parent side of a zone cut and proves nothing about the child
-    // zone's data except DS absence. Denying any other type from it would
-    // synthesize NODATA for names the child zone actually serves.
-    const bool delegation =
-        std::find(entry.types.begin(), entry.types.end(), dns::RRType::kNs) !=
-            entry.types.end() &&
-        std::find(entry.types.begin(), entry.types.end(), dns::RRType::kSoa) ==
-            entry.types.end();
-    if (delegation && qtype != dns::RRType::kDs) {
-      return NsecCoverage::kNoProof;
-    }
-    // The mirror image (RFC 4035 §2.3): DS lives only on the parent side
-    // of a cut, so a child-side NSEC (SOA set) proves nothing about DS —
-    // its bitmap legitimately omits DS even for a secure delegation.
-    if (qtype == dns::RRType::kDs && !delegation) {
-      return NsecCoverage::kNoProof;
-    }
-    // Exact NSEC: name exists; the bitmap decides the type.
-    if (std::find(entry.types.begin(), entry.types.end(), qtype) ==
-        entry.types.end()) {
-      entry.referenced = true;
-      entry.chances = limits_.nsec_extra_chances;
-      if (expires_us != nullptr) *expires_us = entry.expires_us;
-      counters_.add("cache.nsec_hit");
-      return NsecCoverage::kTypeAbsent;
-    }
-    // The private exact entry says the type exists; a sibling's fresher
-    // proof cannot contradict a validated span, so don't consult the store.
-    *stop_shared = true;
-    return NsecCoverage::kNoProof;
-  }
-
-  // Covering NSEC: owner < qname < next proves nonexistence. The chain's
-  // last record wraps: next == apex means "everything after owner".
-  const dns::Name& next = arena_.name(entry.next);
-  const bool wraps = next == zone_apex;
-  if (wraps || qname.canonical_compare(next) < 0) {
-    // RFC 6840 §4.4 again: names below a delegation-owner NSEC are occluded
-    // — the span (net. -> org.) proves nothing about anything *inside* the
-    // net. zone, only that no further names exist in the parent between the
-    // two delegations. Without this, a cap-evicted zone cut makes
-    // deepest_known_cut fall back to the parent and its delegation spans
-    // wrongly NXDOMAIN every child-zone query.
-    if (qname.is_subdomain_of(owner) && owner != qname) {
-      const bool delegation =
-          std::find(entry.types.begin(), entry.types.end(),
-                    dns::RRType::kNs) != entry.types.end() &&
-          std::find(entry.types.begin(), entry.types.end(),
-                    dns::RRType::kSoa) == entry.types.end();
-      if (delegation) return NsecCoverage::kNoProof;
-    }
+  const NsecCoverage coverage =
+      classify_nsec_span(zone_apex, owner, arena_.name(entry.next),
+                         entry.types, qname, qtype, stop_shared);
+  if (coverage != NsecCoverage::kNoProof) {
     entry.referenced = true;
     entry.chances = limits_.nsec_extra_chances;
     if (expires_us != nullptr) *expires_us = entry.expires_us;
     counters_.add("cache.nsec_hit");
-    return NsecCoverage::kNameCovered;
   }
-  return NsecCoverage::kNoProof;
+  return coverage;
 }
 
-NsecCoverage ResolverCache::nsec_chain_walk(const dns::Name& zone_apex,
-                                            NsecZone& zone,
-                                            const dns::Name& qname,
-                                            dns::RRType qtype,
-                                            std::uint64_t* expires_us,
-                                            bool* from_shared) {
+ResolverCache::NsecChain::value_type* ResolverCache::span_predecessor(
+    const dns::Name& zone_apex, NsecZone& zone, const dns::Name& qname) {
+  // Fast path: binary-search the span index for the greatest owner <=
+  // qname. A live candidate answers in one probe.
+  if (zone.index_generation != zone.generation) rebuild_span_index(zone);
+  const auto candidate = std::upper_bound(
+      zone.index.begin(), zone.index.end(), qname,
+      [](const dns::Name& q, const NsecChain::value_type* node) {
+        return q.canonical_compare(node->first) < 0;
+      });
+  if (candidate == zone.index.begin()) return nullptr;
+  NsecChain::value_type* node = *(candidate - 1);
+  if (node->second.expires_us > now()) return node;
+
+  // Expired candidate: walk the ordered chain instead. Expired entries met
+  // on the walk are reclaimed and skipped — a stale closer entry must not
+  // shadow a live covering proof further left in the chain. Each erase
+  // bumps the generation and so invalidates the index.
   NsecChain& chain = zone.chain;
-  // Greatest owner <= qname. Expired entries met on the walk are reclaimed
-  // and skipped: a stale closer entry must not shadow a live covering proof
-  // further left in the chain, so keep stepping to the next predecessor
-  // instead of giving up on the first expired hit.
   auto it = chain.upper_bound(qname);
   for (;;) {
     if (it == chain.begin()) {
       if (chain.empty()) nsec_by_zone_.erase(zone_apex);
-      const NsecCoverage shared =
-          shared_nsec_check(zone_apex, qname, qtype, expires_us);
-      if (shared != NsecCoverage::kNoProof && from_shared != nullptr) {
-        *from_shared = true;
-      }
-      return shared;
+      return nullptr;
     }
     --it;
-    if (it->second.expires_us > now()) break;
+    if (it->second.expires_us > now()) return &*it;
     release(it->second.cost);
     it = chain.erase(it);
     ++zone.generation;
   }
-  bool stop_shared = false;
-  const NsecCoverage local = classify_nsec_entry(
-      zone_apex, it->first, it->second, qname, qtype, expires_us,
-      &stop_shared);
-  if (local != NsecCoverage::kNoProof || stop_shared) return local;
-  const NsecCoverage shared =
-      shared_nsec_check(zone_apex, qname, qtype, expires_us);
-  if (shared != NsecCoverage::kNoProof && from_shared != nullptr) {
-    *from_shared = true;
-  }
-  return shared;
 }
 
 NsecCoverage ResolverCache::nsec_lookup(const dns::Name& zone_apex,
@@ -406,60 +396,30 @@ NsecCoverage ResolverCache::nsec_lookup(const dns::Name& zone_apex,
                                         bool* from_shared) {
   if (!qname.is_subdomain_of(zone_apex)) return NsecCoverage::kNoProof;
   NsecZone* zone = nsec_by_zone_.find(zone_apex);
-  if (zone == nullptr) {
-    const NsecCoverage shared =
-        shared_nsec_check(zone_apex, qname, qtype, expires_us);
-    if (shared != NsecCoverage::kNoProof && from_shared != nullptr) {
-      *from_shared = true;
-    }
-    return shared;
+  NsecChain::value_type* node =
+      zone == nullptr ? nullptr : span_predecessor(zone_apex, *zone, qname);
+  if (node != nullptr) {
+    bool stop_shared = false;
+    const NsecCoverage local =
+        classify_nsec_entry(zone_apex, node->first, node->second, qname,
+                            qtype, expires_us, &stop_shared);
+    if (local != NsecCoverage::kNoProof || stop_shared) return local;
   }
-  // Fast path: binary-search the span index for the greatest owner <=
-  // qname. A live candidate answers in one probe; an expired candidate
-  // falls back to the reclaiming map walk (which bumps the generation and
-  // so invalidates the index).
-  if (zone->index_generation != zone->generation) rebuild_span_index(*zone);
-  const auto it = std::upper_bound(
-      zone->index.begin(), zone->index.end(), qname,
-      [](const dns::Name& q, const NsecChain::value_type* node) {
-        return q.canonical_compare(node->first) < 0;
-      });
-  if (it == zone->index.begin()) {
-    const NsecCoverage shared =
-        shared_nsec_check(zone_apex, qname, qtype, expires_us);
-    if (shared != NsecCoverage::kNoProof && from_shared != nullptr) {
-      *from_shared = true;
-    }
-    return shared;
-  }
-  NsecChain::value_type* node = *(it - 1);
-  if (node->second.expires_us <= now()) {
-    return nsec_chain_walk(zone_apex, *zone, qname, qtype, expires_us,
-                           from_shared);
-  }
-  bool stop_shared = false;
-  const NsecCoverage local = classify_nsec_entry(
-      zone_apex, node->first, node->second, qname, qtype, expires_us,
-      &stop_shared);
-  if (local != NsecCoverage::kNoProof || stop_shared) return local;
-  const NsecCoverage shared =
-      shared_nsec_check(zone_apex, qname, qtype, expires_us);
-  if (shared != NsecCoverage::kNoProof && from_shared != nullptr) {
-    *from_shared = true;
-  }
-  return shared;
+  return shared_nsec_check(zone_apex, qname, qtype, expires_us, from_shared);
 }
 
 NsecCoverage ResolverCache::shared_nsec_check(const dns::Name& zone_apex,
                                               const dns::Name& qname,
                                               dns::RRType qtype,
-                                              std::uint64_t* expires_us) {
+                                              std::uint64_t* expires_us,
+                                              bool* from_shared) {
   if (shared_ == nullptr) return NsecCoverage::kNoProof;
   const NsecCoverage coverage =
       shared_->check_nsec(zone_apex, qname, qtype, now(), shard_id_,
                           expires_us);
   if (coverage != NsecCoverage::kNoProof) {
     counters_.add("cache.nsec_shared_hit");
+    *from_shared = true;
   }
   return coverage;
 }

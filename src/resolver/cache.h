@@ -53,6 +53,18 @@ enum class NsecCoverage {
   kTypeAbsent,    // NSEC at the exact name proves the type is absent
 };
 
+/// What one live NSEC span (owner -> next, bitmap `types`) of `zone_apex`
+/// proves about (qname, qtype), where owner is the greatest owner <= qname
+/// (RFC 4034 §4 coverage with the RFC 6840 §4.4 delegation guards and the
+/// RFC 4035 §2.3 parent-side DS rule). The one classifier behind both the
+/// private cache and the SharedProofStore. kNoProof when the span does not
+/// decide the query; `*type_present` (when non-null) is set when the span
+/// sits at qname and lists qtype, i.e. it proves the type *exists*.
+[[nodiscard]] NsecCoverage classify_nsec_span(
+    const dns::Name& zone_apex, const dns::Name& owner, const dns::Name& next,
+    const std::vector<dns::RRType>& types, const dns::Name& qname,
+    dns::RRType qtype, bool* type_present = nullptr);
+
 /// Lifecycle limits for one ResolverCache (DESIGN.md §4f).
 struct CacheLimits {
   /// Approximate cap on the cache's total footprint in bytes; 0 means
@@ -107,16 +119,9 @@ class ResolverCache : public DenialProofSource {
 
   // -- Negative cache (RFC 2308) -------------------------------------------
 
+  /// Looked up through find_denial(sources = kNegative).
   void store_negative(const dns::Name& name, dns::RRType type,
                       std::uint32_t ttl, bool nxdomain);
-  /// Deprecated shim over find_denial(sources = kNegative); the unified
-  /// ProofResult carries the same expiry deadline, so leak-cause
-  /// attribution is preserved (see synthesis_test's equivalence test).
-  [[deprecated("use find_denial() (DESIGN.md §4j)")]] [[nodiscard]]
-  NegativeEntry find_negative(const dns::Name& name, dns::RRType type,
-                              std::uint64_t* expires_us = nullptr) {
-    return negative_lookup(name, type, expires_us);
-  }
 
   // -- Unified denial lookup (DESIGN.md §4j) ---------------------------------
 
@@ -141,19 +146,10 @@ class ResolverCache : public DenialProofSource {
 
   // -- Aggressive NSEC cache (RFC 8198; required by RFC 5074 validators) ----
 
-  /// Stores a validated NSEC record belonging to `zone_apex`.
+  /// Stores a validated NSEC record belonging to `zone_apex`. Looked up
+  /// through find_denial(sources = kSpans).
   void store_nsec(const dns::Name& zone_apex,
                   const dns::ResourceRecord& nsec_record);
-
-  /// Deprecated shim over find_denial(sources = kSpans): same predecessor
-  /// semantics (expired entries met on the walk are reclaimed and skipped),
-  /// same expiry out-param, translated back to the legacy enum.
-  [[deprecated("use find_denial() (DESIGN.md §4j)")]] [[nodiscard]]
-  NsecCoverage nsec_check(const dns::Name& zone_apex, const dns::Name& qname,
-                          dns::RRType qtype,
-                          std::uint64_t* expires_us = nullptr) {
-    return nsec_lookup(zone_apex, qname, qtype, expires_us, nullptr);
-  }
 
   // -- NSEC3 closest-encloser evidence (RFC 8198 over RFC 5155) --------------
 
@@ -201,7 +197,7 @@ class ResolverCache : public DenialProofSource {
 
   // -- Shared proof store (multi-shard serving, DESIGN.md §4i) ----------------
 
-  /// Attaches a striped shared NSEC/zone-cut store (nullable to detach).
+  /// Attaches a shared NSEC/zone-cut store (nullable to detach).
   /// Afterwards this cache consults the store whenever its private NSEC
   /// chain or zone-cut table misses ("cache.nsec_shared_hit" /
   /// "cache.zone_cut_shared_hit"), and writes every validated NSEC span and
@@ -380,32 +376,28 @@ class ResolverCache : public DenialProofSource {
   void release(std::size_t cost);
 
   // -- Unified denial internals (DESIGN.md §4j) ------------------------------
-  // The non-deprecated bodies behind find_denial() and the legacy shims.
+  // The bodies behind find_denial().
 
   [[nodiscard]] NegativeEntry negative_lookup(const dns::Name& name,
                                               dns::RRType type,
                                               std::uint64_t* expires_us);
-  /// Span lookup: indexed predecessor probe with a fall-back to the
-  /// reclaiming map walk when the index candidate has expired. On a hit,
-  /// `*from_shared` (when non-null) reports whether the covering span came
-  /// from the shared store rather than the private chain.
+  /// Span lookup: the private chain's live predecessor decides first; the
+  /// shared store is consulted when it does not. On a hit, `*from_shared`
+  /// reports whether the covering span came from the shared store.
   [[nodiscard]] NsecCoverage nsec_lookup(const dns::Name& zone_apex,
                                          const dns::Name& qname,
                                          dns::RRType qtype,
                                          std::uint64_t* expires_us,
                                          bool* from_shared);
-  /// Erasing predecessor walk over the ordered chain (the pre-index slow
-  /// path); reclaims expired entries met on the walk.
-  [[nodiscard]] NsecCoverage nsec_chain_walk(const dns::Name& zone_apex,
-                                             NsecZone& zone,
-                                             const dns::Name& qname,
-                                             dns::RRType qtype,
-                                             std::uint64_t* expires_us,
-                                             bool* from_shared);
-  /// Classifies one live chain entry against (qname, qtype); returns
-  /// kNoProof when the entry does not decide the query. `*stop_shared` is
-  /// set when an exact entry says the type exists — a sibling's proof
-  /// cannot contradict a validated span, so the shared consult is skipped.
+  /// Greatest live owner <= qname in `zone`, or nullptr: an indexed probe
+  /// with a fall-back to the ordered chain walk when the index candidate
+  /// has expired; the walk reclaims expired entries it meets.
+  [[nodiscard]] NsecChain::value_type* span_predecessor(
+      const dns::Name& zone_apex, NsecZone& zone, const dns::Name& qname);
+  /// classify_nsec_span over one live chain entry, plus the hit
+  /// bookkeeping. `*stop_shared` is set when an exact entry says the type
+  /// exists — a sibling's proof cannot contradict a validated span, so the
+  /// shared consult is skipped.
   [[nodiscard]] NsecCoverage classify_nsec_entry(const dns::Name& zone_apex,
                                                  const dns::Name& owner,
                                                  NsecEntry& entry,
@@ -415,11 +407,13 @@ class ResolverCache : public DenialProofSource {
                                                  bool* stop_shared);
   static void rebuild_span_index(NsecZone& zone);
   /// L2 NSEC consult when the private chain has no proof: asks the shared
-  /// store (when attached) and counts "cache.nsec_shared_hit".
+  /// store (when attached); a hit counts "cache.nsec_shared_hit" and sets
+  /// `*from_shared`.
   [[nodiscard]] NsecCoverage shared_nsec_check(const dns::Name& zone_apex,
                                                const dns::Name& qname,
                                                dns::RRType qtype,
-                                               std::uint64_t* expires_us);
+                                               std::uint64_t* expires_us,
+                                               bool* from_shared);
   /// Hash-gated NSEC3 synthesis (RFC 8198 over cached closest-encloser
   /// evidence). Hashes at most one name (the next closer) and only when
   /// qname sits under a proven encloser; hash_ops is reported even on a

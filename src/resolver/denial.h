@@ -1,13 +1,14 @@
 // Unified denial-of-existence lookup API (DESIGN.md §4j).
 //
-// Before PR 9 the resolver had three divergent denial entry points —
-// ResolverCache::find_negative (RFC 2308 exact negatives),
-// ResolverCache::nsec_check (aggressive NSEC spans, RFC 8198 / RFC 5074 §5)
-// and the private shared_nsec_check (cross-shard L2) — each with its own
-// result enum and out-params. DenialProofSource collapses them: one call,
-// one ProofResult carrying everything the caller's policy, accounting and
+// Every denial proof the resolver holds — RFC 2308 exact negatives,
+// validated NSEC spans (RFC 8198 / RFC 5074 §5) in the private cache and in
+// the cross-shard SharedProofStore, and NSEC3 closest-encloser evidence —
+// answers through one call, DenialProofSource::find_denial. Its one
+// ProofResult carries everything the caller's policy, accounting and
 // leak-cause attribution need (what is denied, where the proof came from,
-// until when it holds, and how many NSEC3 hash ops it cost).
+// until when it holds, and how many NSEC3 hash ops it cost). The span
+// rules themselves live in one classifier, classify_nsec_span (cache.h),
+// shared by the private chain and the store.
 //
 // Callers express *policy* with the sources bitmask instead of choosing an
 // entry point: a paper-era resolver with aggressive_negative_caching off

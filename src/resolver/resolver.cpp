@@ -724,9 +724,8 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
   }
 
   for (const auto& [candidate, candidate_domain] : candidates) {
-    // One unified lookup replaces the old find_negative + nsec_check pair;
-    // the origin keeps the legacy counter/trace vocabulary intact so leak
-    // ledgers stay comparable across PRs.
+    // One unified lookup over negatives and spans; the origin keeps the
+    // counter/trace vocabulary stable so leak ledgers stay comparable.
     const ProofResult proof = cache_.find_denial(
         apex, candidate, dns::RRType::kDlv, denial_sources());
     if (proof.hash_ops > 0) charge_nsec3_cost(proof.hash_ops);

@@ -1,4 +1,4 @@
-// Striped shared proof store for multi-shard serving (DESIGN.md §4i).
+// Shared proof store for multi-shard serving (DESIGN.md §4i).
 //
 // In the thread-per-resolver serving model every shard owns a private
 // ResolverCache, so two shards that resolve names in the same DLV-covered
@@ -9,57 +9,42 @@
 // (RFC 8198 / RFC 5074 §5) and known zone cuts. A shard that finds a
 // sibling's span here skips the registry round trip entirely, restoring the
 // aggregation privacy profile of one big shared cache while keeping the hot
-// positive/negative paths shard-private and lock-free.
+// positive/negative paths shard-private.
 //
-// Concurrency: lock striping keyed by name hash. NSEC chains stripe by
-// *zone apex* — a coverage check is a predecessor search over one zone's
-// ordered chain, so the whole chain must live under a single stripe's lock
-// (striping by owner would split the chain and break the walk). Zone cuts
-// are point lookups and stripe by the cut name itself, spreading the much
-// hotter per-level probes of deepest_known_cut. Each stripe carries a
-// std::shared_mutex: checks take shared locks (concurrent readers), stores
-// take exclusive locks. dns::Name computes its canonical hash eagerly at
-// construction, so concurrently read keys never race on memoization.
+// Ownership: single-owner, no locks. ShardedServeScenario attaches the
+// store only in shared mode, and shared mode dispatches every arrival on
+// one thread in global (time, client, seq) order — the schedule that makes
+// the merged leak output equal the sequential reference. The parallel
+// stack build only hands the store pointer to each shard's resolver; no
+// worker thread calls into the store.
 //
 // Every entry records the shard that published it; a hit whose publisher
 // differs from the probing shard is counted as a *sibling* hit — the
 // cross-shard suppressed-leak metric BENCH_serve v3 reports.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "dns/name.h"
 #include "dns/name_arena.h"
+#include "dns/name_map.h"
 #include "dns/rr_type.h"
 
 namespace lookaside::resolver {
 
 enum class NsecCoverage;  // cache.h
 
-/// Tuning for SharedProofStore (a namespace-level type so it is complete —
-/// default member initializers included — before the store's constructor
-/// declares `= {}` as its default argument).
-struct SharedProofStoreOptions {
-  /// Lock stripes; rounded up to a power of two, minimum 1.
-  std::size_t stripes = 16;
-};
-
-/// Thread-safe shared NSEC/zone-cut proof store for N resolver shards.
+/// Shared NSEC/zone-cut/verdict proof store for N resolver shards.
 class SharedProofStore {
  public:
-  using Options = SharedProofStoreOptions;
-
   /// One validated NSEC span: owner (the map key) -> next, plus the type
   /// bitmap and expiry. `shard` is the publisher, for sibling accounting.
-  /// This is the *publish* type; internally the store interns `next` into a
-  /// shared name arena (§4k) and keeps only its 32-bit id, so N shards
+  /// This is the *publish* type; internally the store interns `next` into
+  /// its name arena (§4k) and keeps only its 32-bit id, so N shards
   /// republishing the same chain share one canonical byte string per name.
   struct NsecProof {
     dns::Name next;
@@ -68,7 +53,7 @@ class SharedProofStore {
     std::uint32_t shard = 0;
   };
 
-  /// Atomic counter snapshot (sums across stripes).
+  /// Exact store/hit tallies.
   struct Stats {
     std::uint64_t nsec_stores = 0;
     std::uint64_t nsec_hits = 0;
@@ -81,8 +66,6 @@ class SharedProofStore {
     std::uint64_t verdict_sibling_hits = 0;
   };
 
-  explicit SharedProofStore(Options options = {});
-
   // -- Aggressive NSEC spans -------------------------------------------------
 
   /// Publishes a validated NSEC span for `zone_apex`. Overwrites any
@@ -92,10 +75,10 @@ class SharedProofStore {
 
   /// Whether published spans prove (qname, qtype) absent within
   /// `zone_apex` at `now_us`. Expired entries met on the predecessor walk
-  /// are skipped (not reclaimed — reads hold only a shared lock); a stale
-  /// closer entry must not shadow a live covering proof. On a hit,
-  /// `*expires_us` receives the proof deadline and `*cross_shard` reports
-  /// whether a *different* shard published it.
+  /// are skipped, not reclaimed (purge_expired reclaims): a stale closer
+  /// entry must not shadow a live covering proof, and nsec_count keeps
+  /// counting it. On a hit, `*expires_us` receives the proof deadline and
+  /// `*cross_shard` reports whether a *different* shard published it.
   [[nodiscard]] NsecCoverage check_nsec(const dns::Name& zone_apex,
                                         const dns::Name& qname,
                                         dns::RRType qtype,
@@ -124,7 +107,7 @@ class SharedProofStore {
   /// Publishes one signature-verification verdict under its 64-bit content
   /// key (signed data ⊕ signature ⊕ key material — see
   /// Validator::verdict_key), valid until `expires_us` (the RRSIG
-  /// expiration). Striped by the key's low bits.
+  /// expiration).
   void store_verdict(std::uint64_t key, bool valid, std::uint64_t expires_us,
                      std::uint32_t shard);
 
@@ -135,26 +118,17 @@ class SharedProofStore {
       bool* cross_shard = nullptr);
 
   /// Published verdict count (live and expired).
-  [[nodiscard]] std::size_t verdict_count() const;
+  [[nodiscard]] std::size_t verdict_count() const { return verdicts_.size(); }
 
   // -- Maintenance -----------------------------------------------------------
 
-  /// Reclaims every entry expired at `now_us` (exclusive locks, stripe by
-  /// stripe). Returns entries reclaimed. Virtual-clock runs never expire
-  /// in-run (TTLs dwarf the makespan), so this is a tool for long-lived
-  /// deployments and tests, not the serve hot path.
+  /// Reclaims every entry expired at `now_us`. Returns entries reclaimed.
+  /// Virtual-clock runs never expire in-run (TTLs dwarf the makespan), so
+  /// this is a tool for long-lived deployments and tests, not the serve
+  /// hot path.
   std::size_t purge_expired(std::uint64_t now_us);
 
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t stripe_count() const { return stripes_.size(); }
-  /// Stripe index a name hashes to (exposed for the contention tests).
-  [[nodiscard]] std::size_t stripe_of(const dns::Name& name) const {
-    return name.hash() & stripe_mask_;
-  }
-  /// Distinct canonical names interned across all published spans, and the
-  /// arena's true heap footprint (exposed for the intern suite).
-  [[nodiscard]] std::size_t arena_size() const { return arena_.size(); }
-  [[nodiscard]] std::size_t arena_bytes() const { return arena_.bytes(); }
+  [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   struct CanonicalLess {
@@ -169,55 +143,25 @@ class SharedProofStore {
     std::uint64_t expires_us = 0;
     std::uint32_t shard = 0;
   };
+  /// Ordered per zone: a coverage check is a predecessor search.
   using NsecChain = std::map<dns::Name, StoredNsec, CanonicalLess>;
   struct CutEntry {
     std::uint64_t expires_us = 0;
     std::uint32_t shard = 0;
   };
-  /// One lock stripe. NSEC chains keyed by zone apex live whole in the
-  /// apex's stripe; cuts keyed by the cut name live in the name's stripe.
   struct VerdictEntry {
     bool valid = false;
     std::uint64_t expires_us = 0;
     std::uint32_t shard = 0;
   };
-  struct Stripe {
-    mutable std::shared_mutex mutex;
-    std::map<dns::Name, NsecChain, CanonicalLess> nsec;
-    std::map<dns::Name, CutEntry, CanonicalLess> cuts;
-    std::unordered_map<std::uint64_t, VerdictEntry> verdicts;
-  };
 
-  [[nodiscard]] Stripe& stripe_for(const dns::Name& name) {
-    return *stripes_[name.hash() & stripe_mask_];
-  }
-  [[nodiscard]] const Stripe& stripe_for(const dns::Name& name) const {
-    return *stripes_[name.hash() & stripe_mask_];
-  }
-  [[nodiscard]] Stripe& stripe_for_key(std::uint64_t key) {
-    return *stripes_[key & stripe_mask_];
-  }
-
-  // Stripes are boxed: shared_mutex is immovable and the vector is sized
-  // once at construction.
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t stripe_mask_ = 0;
-  // Cross-shard intern table for span `next` names. Lock order: store_nsec
-  // interns (arena exclusive) *before* taking its stripe lock and holds the
-  // two never at once; check_nsec derefs (arena shared) *under* its stripe
-  // lock. No path acquires a stripe while holding the arena exclusively,
-  // so the order is acyclic. Ids are never reclaimed (the arena only
-  // grows), which is what makes the returned Name& stable for readers.
-  dns::SharedNameArena arena_;
-  std::atomic<std::uint64_t> nsec_stores_{0};
-  std::atomic<std::uint64_t> nsec_hits_{0};
-  std::atomic<std::uint64_t> nsec_sibling_hits_{0};
-  std::atomic<std::uint64_t> cut_stores_{0};
-  std::atomic<std::uint64_t> cut_hits_{0};
-  std::atomic<std::uint64_t> cut_sibling_hits_{0};
-  std::atomic<std::uint64_t> verdict_stores_{0};
-  std::atomic<std::uint64_t> verdict_hits_{0};
-  std::atomic<std::uint64_t> verdict_sibling_hits_{0};
+  dns::NameHashMap<NsecChain> nsec_;  // zone apex -> chain
+  dns::NameHashMap<CutEntry> cuts_;   // cut name -> entry
+  std::unordered_map<std::uint64_t, VerdictEntry> verdicts_;
+  // Intern table for span `next` names. Ids are never reclaimed (there is
+  // no clear()), so purge_expired leaves them valid.
+  dns::NameArena arena_;
+  Stats stats_;
 };
 
 }  // namespace lookaside::resolver

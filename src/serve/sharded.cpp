@@ -89,12 +89,11 @@ ShardedServeScenario::ShardedServeScenario(ShardedOptions options)
     throw std::invalid_argument("shard_metrics must be empty or per-shard");
   }
   if (options_.shared_store) {
-    store_ = std::make_unique<resolver::SharedProofStore>(
-        resolver::SharedProofStore::Options{options_.store_stripes});
+    store_ = std::make_unique<resolver::SharedProofStore>();
   }
   // World builds dominate setup cost and are shared-nothing, so build the
-  // shard stacks on worker threads (write-through into the shared store
-  // cannot happen yet — nothing has resolved).
+  // shard stacks on worker threads. Workers only hand the store pointer to
+  // each resolver; nothing calls into the store until run() dispatches.
   stacks_.resize(shards);
   const unsigned jobs = options_.jobs == 0 ? shards : options_.jobs;
   engine::for_each_shard(shards, jobs, [&](std::size_t s) {

@@ -18,7 +18,7 @@
 //   re-prove (and re-leak to the DLV registry) denial spans their siblings
 //   already proved, so merged Case-2 exceeds the single-resolver count.
 //
-//   Striped shared proof store (shared_store = true). Shards attach one
+//   Shared proof store (shared_store = true). Shards attach one
 //   SharedProofStore: validated NSEC spans and zone cuts are written
 //   through, so a shard skips the registry round trip for any span a
 //   sibling already proved. Whether shard B sees shard A's proof depends on
@@ -28,7 +28,8 @@
 //   Proofs then become visible in exactly arrival order, which restores the
 //   single-resolver Case-2 profile: the merged leak output is invariant
 //   across shard counts (byte-identical canonical merge), and equals the
-//   sequential reference.
+//   sequential reference. Because that one thread is the store's only
+//   caller, the store is a plain single-owner structure with no locks.
 //
 // The merged summary is assembled in canonical shard-index order (the
 // engine idiom from DESIGN.md §4d), so all virtual-time outputs are
@@ -89,10 +90,9 @@ struct ShardedOptions {
   ScenarioOptions base;
   std::uint32_t shards = 1;
   ShardRoute route = ShardRoute::kClient;
-  /// Attach one striped SharedProofStore across all shards (and switch to
-  /// the deterministic global-order dispatch described above).
+  /// Attach one SharedProofStore across all shards (and switch to the
+  /// deterministic single-thread global-order dispatch described above).
   bool shared_store = false;
-  std::size_t store_stripes = 16;
   /// Worker threads for shard-private parallel serving; 0 = one per shard.
   unsigned jobs = 0;
   /// Optional per-shard observability (empty, or exactly `shards` entries).

@@ -9,23 +9,13 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "denial_probe.h"
 #include "resolver/cache.h"
 #include "resolver/config.h"
 #include "sim/clock.h"
 
 namespace lookaside::resolver {
 namespace {
-
-// Legacy-shaped probe over the unified DenialProofSource API so the
-// lifecycle assertions below keep their original vocabulary.
-NegativeEntry find_negative(ResolverCache& cache, const dns::Name& name,
-                            dns::RRType type) {
-  const ProofResult proof =
-      cache.find_denial(name, name, type, DenialSources::kNegative);
-  if (!proof) return NegativeEntry::kNone;
-  return proof.coverage == DenialKind::kNxDomain ? NegativeEntry::kNxDomain
-                                                 : NegativeEntry::kNoData;
-}
 
 class CacheLifecycleTest : public ::testing::Test {
  protected:

@@ -87,6 +87,13 @@ TEST(RrsigSignedDataTest, SensitiveToEveryField) {
   other.add(ResourceRecord::make(Name::parse("example.com"), 300, ARdata{43}));
   EXPECT_NE(rrsig_signed_data(base, other), reference);
 
+  // RFC 4034 §6.2: each record's CLASS is part of the canonical form.
+  ResourceRecord reclassed = rrset.records().front();
+  reclassed.rr_class = static_cast<RRClass>(173);
+  RRset reclassed_set(Name::parse("example.com"), RRType::kA);
+  reclassed_set.add(reclassed);
+  EXPECT_NE(rrsig_signed_data(base, reclassed_set), reference);
+
   // The signature field itself is never part of the signed data.
   changed = base;
   changed.signature = Bytes(64, 0xFF);
@@ -97,6 +104,10 @@ TEST(RecordTextTest, RendersKeyFields) {
   const auto a =
       ResourceRecord::make(Name::parse("example.com"), 300, ARdata{0x01020304});
   EXPECT_EQ(a.to_text(), "example.com. 300 IN A 1.2.3.4");
+  // RFC 3597 §5: classes without a mnemonic render generically.
+  auto unknown = a;
+  unknown.rr_class = static_cast<RRClass>(173);
+  EXPECT_EQ(unknown.to_text(), "example.com. 300 CLASS173 A 1.2.3.4");
 
   const auto dlv = ResourceRecord::make_typed(
       Name::parse("example.com.dlv.isc.org"), RRType::kDlv, 3600,

@@ -11,7 +11,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -109,36 +108,6 @@ TEST(NameArena, BytesTracksFootprintAndClearResets) {
   EXPECT_LE(arena.bytes(), empty_bytes);
   // Ids restart from zero after clear (dense id contract).
   EXPECT_EQ(arena.intern(dns::Name::parse("fresh.example.com")), 0u);
-}
-
-TEST(SharedNameArena, ConcurrentInternConvergesToOneIdPerName) {
-  dns::SharedNameArena arena;
-  constexpr int kThreads = 8;
-  constexpr int kNames = 200;
-  std::vector<std::vector<dns::NameId>> ids(
-      kThreads, std::vector<dns::NameId>(kNames, dns::kInvalidNameId));
-
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&arena, &ids, t] {
-      for (int i = 0; i < kNames; ++i) {
-        // Every thread interns the same name set (contended dedupe) and
-        // immediately derefs through the shared lock.
-        const dns::Name name =
-            dns::Name::parse("shared" + std::to_string(i) + ".example.com");
-        const dns::NameId id = arena.intern(name);
-        ids[t][i] = id;
-        EXPECT_EQ(arena.name(id), name);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-
-  EXPECT_EQ(arena.size(), static_cast<std::size_t>(kNames));
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(ids[t], ids[0]);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,32 +9,12 @@
 #include <vector>
 
 #include "crypto/rng.h"
+#include "denial_probe.h"
 #include "resolver/cache.h"
 #include "sim/clock.h"
 
 namespace lookaside::resolver {
 namespace {
-
-// Legacy-shaped adapters over the unified find_denial API (DESIGN.md §4j):
-// these suites assert denial *semantics*, not entry points — the deprecated
-// shims get their own equivalence coverage in synthesis_test.cpp.
-NegativeEntry find_negative(ResolverCache& cache, const dns::Name& name,
-                            dns::RRType type) {
-  const ProofResult proof =
-      cache.find_denial(name, name, type, DenialSources::kNegative);
-  if (!proof) return NegativeEntry::kNone;
-  return proof.coverage == DenialKind::kNxDomain ? NegativeEntry::kNxDomain
-                                                 : NegativeEntry::kNoData;
-}
-
-NsecCoverage nsec_check(ResolverCache& cache, const dns::Name& apex,
-                        const dns::Name& qname, dns::RRType qtype) {
-  const ProofResult proof =
-      cache.find_denial(apex, qname, qtype, DenialSources::kSpans);
-  if (!proof) return NsecCoverage::kNoProof;
-  return proof.coverage == DenialKind::kNxDomain ? NsecCoverage::kNameCovered
-                                                 : NsecCoverage::kTypeAbsent;
-}
 
 class CacheTest : public ::testing::Test {
  protected:
@@ -164,6 +144,59 @@ TEST_F(CacheTest, NsecExactMatchChecksTypeBitmap) {
                               dns::Name::parse("exist.com.dlv.isc.org"),
                               dns::RRType::kTxt),
             NsecCoverage::kTypeAbsent);
+}
+
+// The one span classifier behind the private chain and the shared store:
+// RFC 6840 §4.4 delegation guards and the RFC 4035 §2.3 parent-side DS rule.
+TEST(ClassifyNsecSpan, AppliesDelegationAndDsRules) {
+  const dns::Name apex = dns::Name::parse("example.com");
+  const auto classify = [&apex](const char* owner, const char* next,
+                                std::vector<dns::RRType> types,
+                                const char* qname, dns::RRType qtype,
+                                bool* type_present = nullptr) {
+    return classify_nsec_span(apex, dns::Name::parse(owner),
+                              dns::Name::parse(next), types,
+                              dns::Name::parse(qname), qtype, type_present);
+  };
+  // Parent-side delegation NSEC (NS set, SOA clear) at sub.example.com.
+  const std::vector<dns::RRType> cut = {dns::RRType::kNs};
+  EXPECT_EQ(classify("sub.example.com", "zeta.example.com", cut,
+                     "tango.example.com", dns::RRType::kA),
+            NsecCoverage::kNameCovered);
+  // Names below the cut are occluded: the span proves nothing about them.
+  EXPECT_EQ(classify("sub.example.com", "zeta.example.com", cut,
+                     "www.sub.example.com", dns::RRType::kA),
+            NsecCoverage::kNoProof);
+  // At the owner it proves DS absence and nothing else.
+  EXPECT_EQ(classify("sub.example.com", "zeta.example.com", cut,
+                     "sub.example.com", dns::RRType::kA),
+            NsecCoverage::kNoProof);
+  EXPECT_EQ(classify("sub.example.com", "zeta.example.com", cut,
+                     "sub.example.com", dns::RRType::kDs),
+            NsecCoverage::kTypeAbsent);
+  bool present = false;
+  EXPECT_EQ(classify("sub.example.com", "zeta.example.com",
+                     {dns::RRType::kNs, dns::RRType::kDs}, "sub.example.com",
+                     dns::RRType::kDs, &present),
+            NsecCoverage::kNoProof);
+  EXPECT_TRUE(present);
+
+  // Child-side apex NSEC (SOA set): never a DS denial, even though its
+  // bitmap omits DS.
+  const std::vector<dns::RRType> apex_types = {dns::RRType::kSoa,
+                                               dns::RRType::kNs};
+  present = false;
+  EXPECT_EQ(classify("example.com", "alpha.example.com", apex_types,
+                     "example.com", dns::RRType::kDs, &present),
+            NsecCoverage::kNoProof);
+  EXPECT_FALSE(present);
+  EXPECT_EQ(classify("example.com", "alpha.example.com", apex_types,
+                     "example.com", dns::RRType::kMx),
+            NsecCoverage::kTypeAbsent);
+  EXPECT_EQ(classify("example.com", "alpha.example.com", apex_types,
+                     "example.com", dns::RRType::kNs, &present),
+            NsecCoverage::kNoProof);
+  EXPECT_TRUE(present);
 }
 
 TEST_F(CacheTest, NsecRespectsZoneScope) {

@@ -74,6 +74,17 @@ TEST_F(ValidatorTest, TamperedDataInvalid) {
             SigCheck::kInvalid);
 }
 
+TEST_F(ValidatorTest, TamperedClassInvalid) {
+  // RFC 4035 §5.3.1: the signed image carries each record's CLASS, so a
+  // class rewritten in transit must not validate.
+  dns::ResourceRecord record = rrset_.records().front();
+  record.rr_class = static_cast<dns::RRClass>(173);
+  dns::RRset tampered(owner_, dns::RRType::kA);
+  tampered.add(record);
+  EXPECT_EQ(validator_.verify_rrset(tampered, {make_signature()}, dnskeys_),
+            SigCheck::kInvalid);
+}
+
 TEST_F(ValidatorTest, ExpiredSignatureRejected) {
   clock_.advance_seconds(1000);
   EXPECT_EQ(validator_.verify_rrset(rrset_, {make_signature(0, 500)}, dnskeys_),

@@ -1,6 +1,6 @@
 // RFC 8198 aggressive synthesis + vState verdict caching (DESIGN.md §4j):
-// the unified DenialProofSource API (origin attribution, deprecated-shim
-// equivalence), the sorted span index against a linear reference model,
+// the unified DenialProofSource API (origin attribution, stored expiry
+// deadlines), the sorted span index against a linear reference model,
 // hash-gated NSEC3 synthesis from cached closest-encloser evidence, the
 // validator's signature-verdict cache (hit / expiry / key rollover /
 // epoch flush / cross-shard sharing), and the scenario-level contracts:
@@ -164,62 +164,51 @@ TEST(FindDenial, AttributesLocalSharedAndSynthesizedOrigins) {
                                    dns::RRType::kA, DenialSources::kNegative));
 }
 
-// -- Deprecated shims ---------------------------------------------------------
+// -- Expiry deadlines ---------------------------------------------------------
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(FindDenial, DeprecatedShimsMatchTheUnifiedApi) {
+// Leak-cause attribution ("ttl-expiry" vs "eviction") reads expires_us off
+// every hit, so each proof class must report its stored absolute deadline.
+TEST(FindDenial, HitsReportTheStoredDeadline) {
   sim::SimClock clock;
+  clock.advance_seconds(10);
   ResolverCache cache(clock);
   const dns::Name apex = name_of("example.com");
+  const std::uint64_t stored_at = clock.now_us();
   cache.store_negative(name_of("gone.example.com"), dns::RRType::kA, 300,
                        /*nxdomain=*/true);
   cache.store_negative(name_of("half.example.com"), dns::RRType::kAaaa, 300,
                        /*nxdomain=*/false);
   cache.store_nsec(apex, nsec_span("alpha.example.com", "omega.example.com"));
+  const std::uint64_t negative_deadline = stored_at + 300'000'000ULL;
+  const std::uint64_t span_deadline = stored_at + 3'600'000'000ULL;
+  clock.advance_seconds(5);  // deadlines are absolute, not re-derived
 
-  const auto negative_of = [](const ProofResult& proof) {
-    if (!proof) return NegativeEntry::kNone;
-    return proof.coverage == DenialKind::kNxDomain ? NegativeEntry::kNxDomain
-                                                   : NegativeEntry::kNoData;
-  };
-  const auto coverage_of = [](const ProofResult& proof) {
-    if (!proof) return NsecCoverage::kNoProof;
-    return proof.coverage == DenialKind::kNxDomain
-               ? NsecCoverage::kNameCovered
-               : NsecCoverage::kTypeAbsent;
-  };
-
+  int negative_hits = 0;
+  int span_hits = 0;
   for (const char* probe : {"gone.example.com", "half.example.com",
                             "m.example.com", "zz.example.com"}) {
     for (const dns::RRType qtype : {dns::RRType::kA, dns::RRType::kAaaa,
                                     dns::RRType::kNs}) {
       const dns::Name qname = name_of(probe);
-      std::uint64_t shim_expiry = 0;
-      std::uint64_t unified_expiry = 0;
-      const NegativeEntry shim_negative =
-          cache.find_negative(qname, qtype, &shim_expiry);
-      const ProofResult unified_negative =
+      const ProofResult negative =
           cache.find_denial(qname, qname, qtype, DenialSources::kNegative);
-      unified_expiry = unified_negative.expires_us;
-      EXPECT_EQ(shim_negative, negative_of(unified_negative)) << probe;
-      if (shim_negative != NegativeEntry::kNone) {
-        EXPECT_EQ(shim_expiry, unified_expiry) << probe;
+      if (negative) {
+        ++negative_hits;
+        EXPECT_EQ(negative.expires_us, negative_deadline) << probe;
       }
-
-      std::uint64_t shim_nsec_expiry = 0;
-      const NsecCoverage shim_coverage =
-          cache.nsec_check(apex, qname, qtype, &shim_nsec_expiry);
-      const ProofResult unified_span =
+      const ProofResult span =
           cache.find_denial(apex, qname, qtype, DenialSources::kSpans);
-      EXPECT_EQ(shim_coverage, coverage_of(unified_span)) << probe;
-      if (shim_coverage != NsecCoverage::kNoProof) {
-        EXPECT_EQ(shim_nsec_expiry, unified_span.expires_us) << probe;
+      if (span) {
+        ++span_hits;
+        EXPECT_EQ(span.expires_us, span_deadline) << probe;
       }
     }
   }
+  // gone: NXDOMAIN covers all three types; half: AAAA only. The span
+  // covers gone/half/m for every type; zz sorts after omega.
+  EXPECT_EQ(negative_hits, 4);
+  EXPECT_EQ(span_hits, 9);
 }
-#pragma GCC diagnostic pop
 
 // -- NSEC3 hash-gated synthesis -----------------------------------------------
 
