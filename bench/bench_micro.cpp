@@ -3,6 +3,7 @@
 // Not a paper artifact — these guard the simulator's own performance.
 #include <benchmark/benchmark.h>
 
+#include "crypto/bigint.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 #include "crypto/verify_batch.h"
@@ -58,6 +59,27 @@ void BM_RsaSign512(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaSign512);
+
+void BM_DivMod512By256(benchmark::State& state) {
+  // The division behind BigUint::mod: Montgomery setup (R^2 mod n), the CRT
+  // reduction of a signature input mod p, and keygen's inverses.
+  crypto::SplitMix64 rng(1);
+  crypto::Bytes dividend(64);
+  crypto::Bytes divisor(32);
+  rng.fill(dividend);
+  rng.fill(divisor);
+  divisor[0] |= 0x80;
+  const auto a = crypto::BigUint::from_bytes_be(dividend);
+  const auto b = crypto::BigUint::from_bytes_be(divisor);
+  crypto::BigUint quotient;
+  crypto::BigUint remainder;
+  for (auto _ : state) {
+    crypto::BigUint::divmod(a, b, quotient, remainder);
+    benchmark::DoNotOptimize(quotient);
+    benchmark::DoNotOptimize(remainder);
+  }
+}
+BENCHMARK(BM_DivMod512By256);
 
 void BM_NameParse(benchmark::State& state) {
   for (auto _ : state) {

@@ -12,10 +12,13 @@
 //   - verify.batch_unique / batch_deduped: exact virtual counts from a
 //     fixed churn workload — the gate holds these exactly, so a change in
 //     how many RSA verifications batching skips cannot land silently
+//   - crypto.rsa_sign_ns / rsa_verify_ns / keygen_ns: RSA unit costs on
+//     256-bit keys (the simulator's key size), and crypto.divmod_ns: one
+//     512-by-256-bit BigUint::divmod
 //   - resolutions/sec for a fixed grid of independent experiments, run
 //     once at --jobs 1 and once at --jobs N, with the speedup ratio
 //
-// and writes them as BENCH_perf.json (schema "lookaside.bench_perf.v3",
+// and writes them as BENCH_perf.json (schema "lookaside.bench_perf.v4",
 // documented in EXPERIMENTS.md) so CI can diff runs across commits.
 //
 // Parallel speedup is only meaningful when the host actually has cores to
@@ -41,6 +44,10 @@
 
 #include "bench_util.h"
 #include "core/experiment.h"
+#include "crypto/bigint.h"
+#include "crypto/rng.h"
+#include "crypto/rsa.h"
+#include "crypto/sha256.h"
 #include "crypto/verify_batch.h"
 #include "dns/name.h"
 #include "dns/name_arena.h"
@@ -296,6 +303,64 @@ int main(int argc, char** argv) {
     batch_deduped = counters.value("verify.batch_deduped");
   }
 
+  // --- RSA unit costs on 256-bit keys (DESIGN.md §4l) --------------------
+  // What signing on line, validating and building a world cost per call.
+  crypto::SplitMix64 key_rng(0x525341);
+  const std::size_t keygen_rounds = quick ? 20 : 200;
+  start = WallClock::now();
+  checksum = 0;
+  for (std::size_t i = 0; i < keygen_rounds; ++i) {
+    checksum += crypto::generate_rsa_keypair(256, key_rng)
+                    .public_key.modulus()
+                    .low_u64();
+  }
+  const double keygen_ns = seconds_since(start) * 1e9 /
+                           static_cast<double>(keygen_rounds);
+  sink(checksum);
+
+  const crypto::RsaKeyPair keys = crypto::generate_rsa_keypair(256, key_rng);
+  const crypto::Bytes digest = crypto::Sha256::digest("bench_perf_suite");
+  const std::size_t rsa_rounds = quick ? 2'000 : 20'000;
+  crypto::Bytes signature;
+  start = WallClock::now();
+  checksum = 0;
+  for (std::size_t i = 0; i < rsa_rounds; ++i) {
+    signature = keys.private_key.sign_digest(digest);
+    checksum += signature.back();
+  }
+  const double rsa_sign_ns =
+      seconds_since(start) * 1e9 / static_cast<double>(rsa_rounds);
+  sink(checksum);
+
+  start = WallClock::now();
+  checksum = 0;
+  for (std::size_t i = 0; i < rsa_rounds; ++i) {
+    checksum += keys.public_key.verify_digest(digest, signature);
+  }
+  const double rsa_verify_ns =
+      seconds_since(start) * 1e9 / static_cast<double>(rsa_rounds);
+  sink(checksum);
+
+  crypto::Bytes dividend(64);
+  crypto::Bytes divisor(32);
+  key_rng.fill(dividend);
+  key_rng.fill(divisor);
+  divisor[0] |= 0x80;
+  const crypto::BigUint wide = crypto::BigUint::from_bytes_be(dividend);
+  const crypto::BigUint narrow = crypto::BigUint::from_bytes_be(divisor);
+  const std::size_t divmod_rounds = quick ? 100'000 : 1'000'000;
+  crypto::BigUint quotient;
+  crypto::BigUint remainder;
+  start = WallClock::now();
+  checksum = 0;
+  for (std::size_t i = 0; i < divmod_rounds; ++i) {
+    crypto::BigUint::divmod(wide, narrow, quotient, remainder);
+    checksum += remainder.low_u64();
+  }
+  const double divmod_ns =
+      seconds_since(start) * 1e9 / static_cast<double>(divmod_rounds);
+  sink(checksum);
+
   // --- end-to-end resolution throughput, single vs. sharded --------------
   const std::size_t cells = quick ? 4 : 8;
   const std::uint64_t n = quick ? 300 : bench::max_scale(1'000);
@@ -317,6 +382,10 @@ int main(int argc, char** argv) {
       .cell("churn RSA verifies unique/deduped")
       .cell(std::to_string(batch_unique) + " / " +
             std::to_string(batch_deduped));
+  table.row().cell("RSA-256 sign (ns)").cell(fixed(rsa_sign_ns, 0));
+  table.row().cell("RSA-256 verify (ns)").cell(fixed(rsa_verify_ns, 0));
+  table.row().cell("RSA-256 keygen (ns)").cell(fixed(keygen_ns, 0));
+  table.row().cell("divmod 512/256 bits (ns)").cell(fixed(divmod_ns, 1));
   table.row()
       .cell("resolutions/sec (1 thread)")
       .cell(fixed(single.rate, 0));
@@ -334,7 +403,7 @@ int main(int argc, char** argv) {
 
   const std::string json =
       std::string("{\n") +
-      "  \"schema\": \"lookaside.bench_perf.v3\",\n" +
+      "  \"schema\": \"lookaside.bench_perf.v4\",\n" +
       "  \"hardware_concurrency\": " + std::to_string(cores) + ",\n" +
       "  \"jobs\": " + std::to_string(jobs) + ",\n" +
       "  \"single_thread\": {\"resolutions\": " +
@@ -357,7 +426,11 @@ int main(int argc, char** argv) {
       ", \"intern_ns\": " + fixed(intern_ns, 2) + "},\n" +
       "  \"verify\": {\"batch_lookup_ns\": " + fixed(batch_lookup_ns, 2) +
       ", \"batch_unique\": " + std::to_string(batch_unique) +
-      ", \"batch_deduped\": " + std::to_string(batch_deduped) + "}\n" +
+      ", \"batch_deduped\": " + std::to_string(batch_deduped) + "},\n" +
+      "  \"crypto\": {\"rsa_sign_ns\": " + fixed(rsa_sign_ns, 1) +
+      ", \"rsa_verify_ns\": " + fixed(rsa_verify_ns, 1) +
+      ", \"keygen_ns\": " + fixed(keygen_ns, 0) +
+      ", \"divmod_ns\": " + fixed(divmod_ns, 2) + "}\n" +
       "}\n";
   std::ofstream out(out_path);
   out << json;

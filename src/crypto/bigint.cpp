@@ -1,7 +1,7 @@
 #include "crypto/bigint.h"
 
 #include <algorithm>
-#include <span>
+#include <bit>
 #include <stdexcept>
 
 namespace lookaside::crypto {
@@ -167,24 +167,102 @@ void BigUint::divmod(const BigUint& a, const BigUint& b, BigUint& quotient,
     remainder = a;
     return;
   }
-  // Binary long division: O(bits(a) * limbs(b)); plenty for key generation.
+  // Knuth, TAOCP vol. 2, 4.3.1, Algorithm D: base-2^32 digits, 64-bit
+  // intermediates. The results are built in locals, so `quotient` or
+  // `remainder` may alias an operand.
+  const std::vector<std::uint32_t>& u = a.limbs_;
+  const std::vector<std::uint32_t>& v = b.limbs_;
+  const std::size_t n = v.size();
+  const std::size_t m = u.size() - n;
   BigUint q;
-  BigUint r;
-  const std::size_t total_bits = a.bit_length();
-  q.limbs_.assign((total_bits + 31) / 32, 0);
-  for (std::size_t i = total_bits; i-- > 0;) {
-    r = r.shifted_left(1);
-    if (a.bit(i)) {
-      if (r.limbs_.empty()) r.limbs_.push_back(1);
-      else r.limbs_[0] |= 1u;
+  q.limbs_.assign(m + 1, 0);
+  if (n == 1) {
+    // Short division by one digit.
+    const std::uint64_t d = v[0];
+    std::uint64_t rem = 0;
+    for (std::size_t i = u.size(); i-- > 0;) {
+      const std::uint64_t cur = (rem << 32) | u[i];
+      q.limbs_[i] = static_cast<std::uint32_t>(cur / d);
+      rem = cur % d;
     }
-    if (r.compare(b) >= 0) {
-      r = sub(r, b);
-      q.limbs_[i / 32] |= 1u << (i % 32);
-    }
+    q.normalize();
+    quotient = std::move(q);
+    remainder = BigUint(rem);
+    return;
   }
-  q.normalize();
+
+  // D1: shift both operands so the divisor's top digit has its high bit set.
+  // `un` gains a digit to hold what shifts out of the top of `u`.
+  const int shift = std::countl_zero(v.back());
+  const auto shifted = [shift](std::uint32_t high, std::uint32_t low) {
+    const std::uint64_t pair = (static_cast<std::uint64_t>(high) << 32) | low;
+    return static_cast<std::uint32_t>(pair >> (32 - shift));
+  };
+  std::vector<std::uint32_t> vn(n);
+  for (std::size_t i = n - 1; i > 0; --i) vn[i] = shifted(v[i], v[i - 1]);
+  vn[0] = shifted(v[0], 0);
+  std::vector<std::uint32_t> un(u.size() + 1);
+  un[u.size()] = shifted(0, u.back());
+  for (std::size_t i = u.size() - 1; i > 0; --i) un[i] = shifted(u[i], u[i - 1]);
+  un[0] = shifted(u[0], 0);
+
+  const std::uint64_t top = vn[n - 1];
+  const std::uint64_t second = vn[n - 2];
+  for (std::size_t j = m + 1; j-- > 0;) {
+    // D3: estimate the quotient digit from the top two remainder digits and
+    // correct it against the divisor's second digit. Afterwards q_hat is
+    // exact or one too large.
+    const std::uint64_t num =
+        (static_cast<std::uint64_t>(un[j + n]) << 32) | un[j + n - 1];
+    std::uint64_t q_hat = num / top;
+    std::uint64_t r_hat = num % top;
+    while (q_hat > 0xFFFFFFFFu ||
+           q_hat * second > ((r_hat << 32) | un[j + n - 2])) {
+      --q_hat;
+      r_hat += top;
+      if (r_hat > 0xFFFFFFFFu) break;
+    }
+
+    // D4: multiply and subtract q_hat * vn from un[j .. j+n].
+    std::uint64_t carry = 0;
+    std::uint64_t borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t product = q_hat * vn[i] + carry;
+      carry = product >> 32;
+      const std::uint64_t diff = static_cast<std::uint64_t>(un[i + j]) -
+                                 static_cast<std::uint32_t>(product) - borrow;
+      un[i + j] = static_cast<std::uint32_t>(diff);
+      borrow = diff >> 63;  // 1 when the digit wrapped
+    }
+    const bool negative = un[j + n] < carry + borrow;
+    un[j + n] = static_cast<std::uint32_t>(un[j + n] - carry - borrow);
+
+    // D5/D6: q_hat was one too large; add the divisor back once.
+    if (negative) {
+      --q_hat;
+      std::uint64_t sum_carry = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t sum =
+            static_cast<std::uint64_t>(un[i + j]) + vn[i] + sum_carry;
+        un[i + j] = static_cast<std::uint32_t>(sum);
+        sum_carry = sum >> 32;
+      }
+      un[j + n] = static_cast<std::uint32_t>(un[j + n] + sum_carry);
+    }
+    q.limbs_[j] = static_cast<std::uint32_t>(q_hat);
+  }
+
+  // D8: the remainder is un[0 .. n-1] shifted back down.
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t pair =
+        (static_cast<std::uint64_t>(un[i + 1]) << 32) | un[i];
+    un[i] = static_cast<std::uint32_t>(pair >> shift);
+  }
+  un.resize(n);
+  BigUint r;
+  r.limbs_ = std::move(un);
   r.normalize();
+  q.normalize();
   quotient = std::move(q);
   remainder = std::move(r);
 }
@@ -272,148 +350,184 @@ BigUint BigUint::mod_inverse(const BigUint& a, const BigUint& m) {
 // Montgomery arithmetic
 // ---------------------------------------------------------------------------
 
+namespace {
+
+using U128 = unsigned __int128;
+
+/// Widest sliding window, and the odd powers its table holds.
+constexpr std::size_t kMaxWindow = 5;
+constexpr std::size_t kTableSize = std::size_t{1} << (kMaxWindow - 1);
+
+/// Sliding-window width for an exponent of `bits` bits. A window of w bits
+/// costs 2^(w-1) table entries up front and saves multiplies during the scan,
+/// so wider windows pay off only on longer exponents. Width 1 is plain
+/// square-and-multiply, which is cheapest for e = 65537.
+std::size_t window_width(std::size_t bits) {
+  if (bits <= 23) return 1;
+  if (bits <= 79) return 3;
+  if (bits <= 239) return 4;
+  return kMaxWindow;
+}
+
+}  // namespace
+
 Montgomery::Montgomery(const BigUint& modulus) : modulus_(modulus) {
   if (!modulus.is_odd() || modulus.bit_length() < 2) {
     throw std::invalid_argument("Montgomery modulus must be odd and > 1");
   }
-  if (modulus.limbs().size() > 64) {
+  if (modulus.bit_length() > 64 * kMaxWords) {
     throw std::invalid_argument("Montgomery modulus wider than 2048 bits");
   }
-  k_ = modulus.limbs().size();
-  n_limbs_ = modulus.limbs();
+  k_ = (modulus.limbs().size() + 1) / 2;
+  n_words_.resize(k_);
+  to_words(modulus_, n_words_.data());
 
-  // n0_inv = -n^{-1} mod 2^32 via Newton-Hensel lifting.
-  const std::uint32_t n0 = n_limbs_[0];
-  std::uint32_t inv = 1;
-  for (int i = 0; i < 5; ++i) inv *= 2u - n0 * inv;  // inv = n0^{-1} mod 2^32
-  n0_inv_ = ~inv + 1u;                               // -inv mod 2^32
+  // n0_inv = -n^{-1} mod 2^64 by Newton-Hensel lifting: inv = 1 is an
+  // inverse mod 2, and each step doubles the number of correct low bits.
+  const Word n0 = n_words_[0];
+  Word inv = 1;
+  for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;
+  n0_inv_ = 0 - inv;
 
-  // R^2 mod n where R = 2^(32k).
-  const BigUint r = BigUint(1).shifted_left(32 * k_);
-  const BigUint r_mod_n = BigUint::mod(r, modulus_);
-  r2_ = to_limbs(BigUint::mod(BigUint::mul(r_mod_n, r_mod_n), modulus_));
+  // R^2 mod n where R = 2^(64k).
+  r2_.resize(k_);
+  to_words(BigUint::mod(BigUint(1).shifted_left(128 * k_), modulus_),
+           r2_.data());
 }
 
-Montgomery::Limbs Montgomery::to_limbs(const BigUint& value) const {
-  Limbs out = value.limbs();
-  out.resize(k_, 0);
+void Montgomery::to_words(const BigUint& value, Word* out) const {
+  std::fill_n(out, k_, Word{0});
+  const std::vector<std::uint32_t>& limbs = value.limbs();
+  for (std::size_t i = 0; i < limbs.size(); ++i) {
+    out[i / 2] |= static_cast<Word>(limbs[i]) << (32 * (i % 2));
+  }
+}
+
+BigUint Montgomery::from_words(const Word* words) const {
+  BigUint out;
+  out.limbs_.resize(2 * k_);
+  for (std::size_t i = 0; i < k_; ++i) {
+    out.limbs_[2 * i] = static_cast<std::uint32_t>(words[i]);
+    out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(words[i] >> 32);
+  }
+  out.normalize();
   return out;
 }
 
-BigUint Montgomery::from_limbs(const Limbs& limbs) {
-  Bytes be;  // Build via bytes to reuse normalization.
-  be.resize(limbs.size() * 4);
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    const std::uint32_t limb = limbs[i];
-    const std::size_t base = (limbs.size() - 1 - i) * 4;
-    be[base] = static_cast<std::uint8_t>(limb >> 24);
-    be[base + 1] = static_cast<std::uint8_t>(limb >> 16);
-    be[base + 2] = static_cast<std::uint8_t>(limb >> 8);
-    be[base + 3] = static_cast<std::uint8_t>(limb);
-  }
-  return BigUint::from_bytes_be(be);
-}
-
-void Montgomery::mont_mul(const Limbs& a, const Limbs& b, Limbs& out) const {
-  // CIOS (coarsely integrated operand scanning) Montgomery multiplication.
-  // Stack scratch: moduli are <= 2048 bits (64 limbs); constructor enforces.
-  std::uint32_t t_storage[66] = {0};
-  const std::span<std::uint32_t> t(t_storage, k_ + 2);
-  for (std::size_t i = 0; i < k_; ++i) {
+void Montgomery::mont_mul(const Word* a, const Word* b, Word* out) const {
+  // CIOS (coarsely integrated operand scanning) Montgomery multiplication
+  // over 64-bit words. `t` is written to `out` only at the end, so `out` may
+  // alias an input.
+  const std::size_t k = k_;
+  const Word* n = n_words_.data();
+  Word t[kMaxWords + 2];
+  std::fill_n(t, k + 2, Word{0});
+  for (std::size_t i = 0; i < k; ++i) {
     // t += a * b[i]
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      const std::uint64_t cur =
-          static_cast<std::uint64_t>(t[j]) +
-          static_cast<std::uint64_t>(a[j]) * b[i] + carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+    Word carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const U128 cur = static_cast<U128>(a[j]) * b[i] + t[j] + carry;
+      t[j] = static_cast<Word>(cur);
+      carry = static_cast<Word>(cur >> 64);
     }
-    std::uint64_t cur = static_cast<std::uint64_t>(t[k_]) + carry;
-    t[k_] = static_cast<std::uint32_t>(cur);
-    t[k_ + 1] = static_cast<std::uint32_t>(cur >> 32);
+    U128 cur = static_cast<U128>(t[k]) + carry;
+    t[k] = static_cast<Word>(cur);
+    t[k + 1] = static_cast<Word>(cur >> 64);
 
-    // t = (t + m*n) / 2^32 with m chosen so the low limb cancels.
-    const std::uint32_t m =
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(t[0]) * n0_inv_);
-    carry = (static_cast<std::uint64_t>(t[0]) +
-             static_cast<std::uint64_t>(m) * n_limbs_[0]) >>
-            32;
-    for (std::size_t j = 1; j < k_; ++j) {
-      const std::uint64_t cur2 =
-          static_cast<std::uint64_t>(t[j]) +
-          static_cast<std::uint64_t>(m) * n_limbs_[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(cur2);
-      carry = cur2 >> 32;
+    // t = (t + m*n) / 2^64 with m chosen so the low word cancels.
+    const Word m = t[0] * n0_inv_;
+    carry = static_cast<Word>((static_cast<U128>(m) * n[0] + t[0]) >> 64);
+    for (std::size_t j = 1; j < k; ++j) {
+      const U128 sum = static_cast<U128>(m) * n[j] + t[j] + carry;
+      t[j - 1] = static_cast<Word>(sum);
+      carry = static_cast<Word>(sum >> 64);
     }
-    cur = static_cast<std::uint64_t>(t[k_]) + carry;
-    t[k_ - 1] = static_cast<std::uint32_t>(cur);
-    t[k_] = t[k_ + 1] + static_cast<std::uint32_t>(cur >> 32);
-    t[k_ + 1] = 0;
+    cur = static_cast<U128>(t[k]) + carry;
+    t[k - 1] = static_cast<Word>(cur);
+    t[k] = t[k + 1] + static_cast<Word>(cur >> 64);
   }
 
-  // Conditional final subtraction so the result is < n.
-  bool geq = t[k_] != 0;
+  // t < 2n here; one conditional subtraction leaves the result below n.
+  bool geq = t[k] != 0;
   if (!geq) {
     geq = true;
-    for (std::size_t i = k_; i-- > 0;) {
-      if (t[i] != n_limbs_[i]) {
-        geq = t[i] > n_limbs_[i];
+    for (std::size_t i = k; i-- > 0;) {
+      if (t[i] != n[i]) {
+        geq = t[i] > n[i];
         break;
       }
     }
   }
-  out.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k_));
-  if (geq) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < k_; ++i) {
-      std::int64_t diff =
-          static_cast<std::int64_t>(out[i]) - n_limbs_[i] - borrow;
-      if (diff < 0) {
-        diff += (1LL << 32);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out[i] = static_cast<std::uint32_t>(diff);
-    }
+  if (!geq) {
+    std::copy_n(t, k, out);
+    return;
+  }
+  Word borrow = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    out[i] = t[i] - n[i] - borrow;
+    borrow = (t[i] < n[i] || (t[i] == n[i] && borrow != 0)) ? 1 : 0;
   }
 }
 
 BigUint Montgomery::mul(const BigUint& a, const BigUint& b) const {
-  const Limbs a_mont_in = to_limbs(BigUint::mod(a, modulus_));
-  const Limbs b_plain = to_limbs(BigUint::mod(b, modulus_));
-  Limbs a_mont;
-  mont_mul(a_mont_in, r2_, a_mont);  // a*R mod n
-  Limbs product;
-  mont_mul(a_mont, b_plain, product);  // a*R*b*R^{-1} = a*b mod n
-  return from_limbs(product);
+  Word x[kMaxWords] = {};
+  Word y[kMaxWords] = {};
+  to_words(BigUint::mod(a, modulus_), x);
+  to_words(BigUint::mod(b, modulus_), y);
+  mont_mul(x, r2_.data(), x);  // a*R mod n
+  mont_mul(x, y, x);           // a*R*b*R^{-1} = a*b mod n
+  return from_words(x);
 }
 
 BigUint Montgomery::exp(const BigUint& base, const BigUint& exponent) const {
-  const Limbs base_plain = to_limbs(BigUint::mod(base, modulus_));
-  Limbs base_mont;
-  mont_mul(base_plain, r2_, base_mont);
-
-  // one in Montgomery form: R mod n = mont_mul(R^2 mod n, 1).
-  Limbs one_plain(k_, 0);
-  one_plain[0] = 1;
-  Limbs acc;
-  mont_mul(r2_, one_plain, acc);
-
-  Limbs tmp;
   const std::size_t bits = exponent.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
-    mont_mul(acc, acc, tmp);
-    acc.swap(tmp);
-    if (exponent.bit(i)) {
-      mont_mul(acc, base_mont, tmp);
-      acc.swap(tmp);
+  if (bits == 0) return BigUint(1);  // n > 1, so 1 is already reduced
+
+  // table[i] = base^(2i+1) in Montgomery form. Only the first 2^(width-1)
+  // entries are used, and each is written before it is read.
+  const std::size_t width = window_width(bits);
+  Word table[kTableSize][kMaxWords];
+  to_words(BigUint::mod(base, modulus_), table[0]);
+  mont_mul(table[0], r2_.data(), table[0]);
+  if (width > 1) {
+    Word square[kMaxWords] = {};
+    mont_mul(table[0], table[0], square);
+    for (std::size_t i = 1; i < (std::size_t{1} << (width - 1)); ++i) {
+      mont_mul(table[i - 1], square, table[i]);
     }
   }
-  // Convert out of Montgomery form.
-  mont_mul(acc, one_plain, tmp);
-  return from_limbs(tmp);
+
+  // Left to right: a zero bit squares; a set bit opens a window of at most
+  // `width` bits that ends on a set bit, whose odd value indexes the table.
+  // The first window loads its power directly instead of squaring one.
+  Word acc[kMaxWords] = {};
+  bool started = false;
+  for (std::size_t i = bits; i > 0;) {
+    if (!exponent.bit(i - 1)) {
+      mont_mul(acc, acc, acc);
+      --i;
+      continue;
+    }
+    std::size_t low = i > width ? i - width : 0;
+    while (!exponent.bit(low)) ++low;
+    std::size_t window = 0;
+    for (std::size_t j = i; j-- > low;) {
+      window = (window << 1) | (exponent.bit(j) ? 1u : 0u);
+    }
+    if (started) {
+      for (std::size_t j = low; j < i; ++j) mont_mul(acc, acc, acc);
+      mont_mul(acc, table[window >> 1], acc);
+    } else {
+      std::copy_n(table[window >> 1], k_, acc);
+      started = true;
+    }
+    i = low;
+  }
+
+  // Convert out of Montgomery form: acc * 1 * R^{-1}.
+  Word one[kMaxWords] = {1};
+  mont_mul(acc, one, acc);
+  return from_words(acc);
 }
 
 }  // namespace lookaside::crypto

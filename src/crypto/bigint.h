@@ -1,7 +1,10 @@
 // Arbitrary-precision unsigned integers with Montgomery modular arithmetic.
 //
-// Sized for DNSSEC simulation: moduli of 256-1024 bits. Limbs are 32-bit so
-// all intermediate products fit in uint64_t without compiler extensions.
+// Sized for DNSSEC simulation: moduli of 256-2048 bits. BigUint stores 32-bit
+// limbs and divides with Knuth's Algorithm D on 64-bit intermediates. The
+// Montgomery kernel works on 64-bit words with `unsigned __int128` products
+// (a GCC/Clang extension), keeps its scratch in fixed stack arrays, and
+// exponentiates with a left-to-right sliding window.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +65,8 @@ class BigUint {
   [[nodiscard]] BigUint shifted_left(std::size_t bits) const;
   [[nodiscard]] BigUint shifted_right(std::size_t bits) const;
 
-  /// Computes quotient and remainder of a / b; throws on division by zero.
+  /// Computes quotient and remainder of a / b (Knuth's Algorithm D); throws
+  /// on division by zero.
   static void divmod(const BigUint& a, const BigUint& b, BigUint& quotient,
                      BigUint& remainder);
   [[nodiscard]] static BigUint mod(const BigUint& a, const BigUint& m);
@@ -84,6 +88,7 @@ class BigUint {
   }
 
  private:
+  friend class Montgomery;
   void normalize();
 
   std::vector<std::uint32_t> limbs_;
@@ -100,22 +105,27 @@ class Montgomery {
   /// (a * b) mod n.
   [[nodiscard]] BigUint mul(const BigUint& a, const BigUint& b) const;
 
-  /// (base ^ exponent) mod n via left-to-right square-and-multiply.
+  /// (base ^ exponent) mod n via a left-to-right sliding window over
+  /// precomputed odd powers; the width grows with the exponent's length.
   [[nodiscard]] BigUint exp(const BigUint& base, const BigUint& exponent) const;
 
  private:
-  using Limbs = std::vector<std::uint32_t>;
+  using Word = std::uint64_t;
+  /// Widest supported modulus: 2048 bits.
+  static constexpr std::size_t kMaxWords = 32;
 
-  /// Montgomery product: out = a * b * R^{-1} mod n, all k-limb vectors.
-  void mont_mul(const Limbs& a, const Limbs& b, Limbs& out) const;
-  [[nodiscard]] Limbs to_limbs(const BigUint& value) const;
-  [[nodiscard]] static BigUint from_limbs(const Limbs& limbs);
+  /// Montgomery product out = a * b * R^{-1} mod n over k-word operands
+  /// below n; `out` may alias `a` or `b`.
+  void mont_mul(const Word* a, const Word* b, Word* out) const;
+  /// Writes a value below n as k words.
+  void to_words(const BigUint& value, Word* out) const;
+  [[nodiscard]] BigUint from_words(const Word* words) const;
 
   BigUint modulus_;
-  std::size_t k_;           // limb count of the modulus
-  std::uint32_t n0_inv_;    // -n^{-1} mod 2^32
-  Limbs r2_;                // R^2 mod n, in plain form, k limbs
-  Limbs n_limbs_;           // modulus, k limbs
+  std::size_t k_;              // 64-bit word count of the modulus
+  Word n0_inv_;                // -n^{-1} mod 2^64
+  std::vector<Word> n_words_;  // modulus, k words
+  std::vector<Word> r2_;       // R^2 mod n with R = 2^(64k), k words
 };
 
 }  // namespace lookaside::crypto

@@ -8,6 +8,10 @@ namespace lookaside::crypto {
 
 namespace {
 
+// EMSA padding needs a 16-byte modulus; Montgomery contexts stop at 2048 bits.
+constexpr std::size_t kMinModulusBytes = 16;
+constexpr std::size_t kMaxModulusBits = 2048;
+
 constexpr std::uint32_t kSmallPrimes[] = {
     3,   5,   7,   11,  13,  17,  19,  23,  29,  31,  37,  41,  43,  47,
     53,  59,  61,  67,  71,  73,  79,  83,  89,  97,  101, 103, 107, 109,
@@ -96,7 +100,7 @@ bool is_probable_prime(const BigUint& candidate, SplitMix64& rng, int rounds) {
 }
 
 Bytes emsa_pad(const Bytes& digest, std::size_t modulus_bytes) {
-  if (modulus_bytes < 16) {
+  if (modulus_bytes < kMinModulusBytes) {
     throw std::invalid_argument("modulus too small for EMSA padding");
   }
   // Full PKCS#1 v1.5 layout needs digest + 11 bytes; otherwise truncate the
@@ -140,6 +144,12 @@ std::optional<RsaPublicKey> RsaPublicKey::from_wire(const Bytes& wire) {
   const Bytes mod_bytes(wire.begin() + 1 + static_cast<std::ptrdiff_t>(exp_len), wire.end());
   BigUint n = BigUint::from_bytes_be(mod_bytes);
   if (!n.is_odd()) return std::nullopt;  // RSA modulus is odd
+  // A key from the wire the arithmetic cannot serve is unusable, not an
+  // error: later padding and Montgomery setup would throw on it.
+  const std::size_t bits = n.bit_length();
+  if ((bits + 7) / 8 < kMinModulusBytes || bits > kMaxModulusBits) {
+    return std::nullopt;
+  }
   return RsaPublicKey(std::move(n), BigUint::from_bytes_be(exp_bytes));
 }
 

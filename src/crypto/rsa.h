@@ -27,6 +27,8 @@ class RsaPublicKey {
 
   /// RFC 3110-style wire form: explen(1) | exponent | modulus.
   [[nodiscard]] Bytes to_wire() const;
+  /// Empty for malformed wire and for a modulus that is even, shorter than
+  /// 16 bytes or wider than 2048 bits.
   [[nodiscard]] static std::optional<RsaPublicKey> from_wire(const Bytes& wire);
 
   /// Verifies `signature` over `digest` (already hashed message).
@@ -42,8 +44,9 @@ class RsaPublicKey {
 };
 
 /// RSA private key; holds the matching public key. When constructed with
-/// the prime factorization, signing uses the CRT (about 4x faster — the
-/// simulator signs on-line, so this matters at the million-domain scale).
+/// the prime factorization, signing uses the CRT: two half-width
+/// exponentiations, which cost 2-3x less than one full-width one for 256- to
+/// 1024-bit moduli. The simulator signs on-line, so this is on the cold path.
 class RsaPrivateKey {
  public:
   RsaPrivateKey(RsaPublicKey public_key, BigUint private_exponent);

@@ -1,9 +1,11 @@
 // DNSSEC validation primitives: RRSIG verification against DNSKEY RRsets,
 // DS/DNSKEY matching, and RRset grouping of message sections.
 //
-// Public keys parse into Montgomery-ready RSA contexts, which is expensive;
-// the Validator memoizes parsed keys by their wire image so million-domain
-// simulations pay the cost once per distinct key.
+// Public keys parse into Montgomery-ready RSA contexts (one word-level
+// division for R^2 mod n, a few allocations). The Validator memoizes parsed
+// keys by their wire image, so a key is parsed once per validator rather than
+// once per signature. A key the arithmetic cannot serve parses to nullptr and
+// counts as unusable.
 #pragma once
 
 #include <memory>

@@ -99,6 +99,55 @@ TEST(RsaTest, FromWireRejectsGarbage) {
   EXPECT_FALSE(RsaPublicKey::from_wire({0x05, 0x01}).has_value());
 }
 
+TEST(RsaTest, FromWireRejectsModuliTheArithmeticCannotServe) {
+  // n = 1, a 15-byte n (EMSA padding needs 16) and a 2056-bit n (Montgomery
+  // stops at 2048 bits, so a 257-byte n is one byte too wide): unusable keys,
+  // not exceptions.
+  EXPECT_FALSE(RsaPublicKey::from_wire({0x01, 0x03, 0x01}).has_value());
+  Bytes narrow = {0x01, 0x03};
+  narrow.insert(narrow.end(), 15, 0xFF);
+  EXPECT_FALSE(RsaPublicKey::from_wire(narrow).has_value());
+  narrow.push_back(0xFF);
+  EXPECT_TRUE(RsaPublicKey::from_wire(narrow).has_value());
+  Bytes wide = {0x01, 0x03};
+  wide.insert(wide.end(), 256, 0xFF);
+  EXPECT_TRUE(RsaPublicKey::from_wire(wide).has_value());
+  wide.push_back(0xFF);
+  EXPECT_FALSE(RsaPublicKey::from_wire(wide).has_value());
+}
+
+TEST(RsaTest, GoldenSignaturesAreByteIdentical) {
+  // Recorded with an independent kernel (bit-serial division, 32-bit
+  // Montgomery words). Keygen and PKCS#1 v1.5 signing are deterministic and
+  // every result is the unique residue mod n, so any kernel must reproduce
+  // these bytes exactly.
+  struct Golden {
+    std::size_t bits;
+    std::uint64_t seed;
+    const char* modulus;
+    const char* signature;
+  };
+  const Golden cases[] = {
+      {256, 2024,
+       "ad59c1a7fc16d282d4f702ad4eb12f12c6b9996b05ccaa6b34410e5aceffc5a3",
+       "56a6269df6add0433daf0403dcd297d553e6bcebd618205ce72d58456d051342"},
+      {512, 2025,
+       "e745251425d4c23a65189be3155467fec3443991a0208e2a90051cf8fb94477c"
+       "2d3a5c67698a9748a7331dd66dbab903c6b7571149f12d7c830abd337c5f46a3",
+       "d4db07b0fc9cfc0e7b9fb5b97def94b5cf2bc573ad761b6356caafc8ba121f2f"
+       "395f9e9143a861c4a3758c0426a521b45499fcab2363f863da89085d93e78e91"},
+  };
+  const Bytes message = bytes_of("golden signature over a fixed message");
+  for (const Golden& golden : cases) {
+    const RsaKeyPair kp = test_keypair(golden.bits, golden.seed);
+    EXPECT_EQ(to_hex(kp.public_key.modulus().to_bytes_be()), golden.modulus)
+        << golden.bits << "-bit key";
+    const Bytes signature = sign_message(kp.private_key, message);
+    EXPECT_EQ(to_hex(signature), golden.signature) << golden.bits << "-bit key";
+    EXPECT_TRUE(verify_message(kp.public_key, message, signature));
+  }
+}
+
 TEST(RsaTest, KeygenValidatesParameters) {
   SplitMix64 rng(1);
   EXPECT_THROW(generate_rsa_keypair(128, rng), std::invalid_argument);

@@ -7,6 +7,7 @@
 //   - resolution outcomes are deterministic given a seed.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "core/experiment.h"
@@ -89,6 +90,14 @@ struct CodecShape {
   bool edns;
   bool nxdomain;
 };
+
+// Names each case by its fields. Without this, gtest prints the struct's raw
+// bytes, including two uninitialized padding bytes, so a case's name changed
+// from build to build.
+void PrintTo(const CodecShape& shape, std::ostream* os) {
+  *os << "answers=" << shape.answers << " authorities=" << shape.authorities
+      << " edns=" << shape.edns << " nxdomain=" << shape.nxdomain;
+}
 
 class CodecRoundTripProperty : public ::testing::TestWithParam<CodecShape> {};
 

@@ -151,6 +151,34 @@ TEST_F(ValidatorTest, ParseKeyCachesAndRejectsGarbage) {
   EXPECT_EQ(validator_.parse_key(garbage), nullptr);
 }
 
+TEST_F(ValidatorTest, HostileKeysAreUnusableNotFatal) {
+  // DNSKEYs whose moduli the RSA arithmetic cannot serve: n = 1, a 4160-bit
+  // n and a 64-bit n. Each must leave the key unusable; none may throw out
+  // of the validator.
+  const dns::Bytes modulus_one = {1, 3, 1};
+  dns::Bytes too_wide = {1, 3};
+  too_wide.insert(too_wide.end(), 520, 0xFF);
+  dns::Bytes too_narrow = {1, 3};
+  too_narrow.insert(too_narrow.end(), 8, 0xFF);
+  for (const dns::Bytes& wire : {modulus_one, too_wide, too_narrow}) {
+    const dns::DnskeyRdata key{dns::DnskeyRdata::kFlagZoneKey, 3, 8, wire};
+    dns::RRset keys(owner_, dns::RRType::kDnskey);
+    keys.add(dns::ResourceRecord::make(owner_, 3600, dns::Rdata{key}));
+    dns::ResourceRecord record = make_signature();
+    auto& sig = std::get<dns::RrsigRdata>(record.rdata);
+    sig.key_tag = key.key_tag();
+    // As wide as the modulus and below it, so a parsed key would reach the
+    // padding check.
+    sig.signature.assign(wire.size() - 2, 0x00);
+    sig.signature.back() = 0x02;
+    SigCheck check = SigCheck::kValid;
+    EXPECT_NO_THROW(check = validator_.verify_rrset(rrset_, {record}, keys))
+        << "modulus bytes " << wire.size() - 2;
+    EXPECT_NE(check, SigCheck::kValid);
+    EXPECT_NO_THROW(EXPECT_EQ(validator_.parse_key(key), nullptr));
+  }
+}
+
 TEST(GroupSectionTest, GroupsByNameAndType) {
   const dns::Name a = dns::Name::parse("a.com");
   const dns::Name b = dns::Name::parse("b.com");
