@@ -34,7 +34,7 @@
 #include "bench_util.h"
 #include "engine/sweep.h"
 #include "metrics/table.h"
-#include "serve/scenario.h"
+#include "serve/sharded.h"
 
 namespace {
 
@@ -125,17 +125,17 @@ CellResult run_cell(std::uint16_t iterations, double fraction,
   cell.attack_fraction = fraction;
   cell.mode = mode.name;
 
-  serve::ScenarioOptions options =
-      cell_options(iterations, fraction, mode, smoke, index);
-  options.tracer = tracer;
+  serve::ShardedOptions options;
+  options.base = cell_options(iterations, fraction, mode, smoke, index);
+  options.shard_tracers = {tracer};
   const std::uint32_t attack_start =
-      workload::ClientMix(options.mix).first_attacker();
-  serve::ServeScenario scenario(options);
-  cell.summary = scenario.run();
+      workload::ClientMix(options.base.mix).first_attacker();
+  serve::ShardedServeScenario scenario(std::move(options));
+  cell.summary = scenario.run().merged;
   cell.queries = cell.summary.served;
 
   const std::vector<serve::ClientAccount>& accounts =
-      scenario.frontend().clients();
+      scenario.stack(0).frontend->clients();
   for (std::size_t client = 0; client < accounts.size(); ++client) {
     if (client < attack_start) {
       cell.benign_cpu_drops += accounts[client].cpu_drops;

@@ -104,18 +104,12 @@ ModeRun run_mode(const serve::ScenarioOptions& base, std::uint32_t shards,
   options.route = route;
   options.shared_store = shared;
   options.jobs = jobs;
-  bool any_tracer = false;
-  bool any_metrics = false;
   for (std::uint32_t s = 0; s < shards; ++s) {
     run.obs.push_back(std::make_unique<bench::ShardObs>(
         session, /*primary=*/primary && s == 0));
     options.shard_tracers.push_back(run.obs.back()->tracer());
     options.shard_metrics.push_back(run.obs.back()->metrics());
-    any_tracer = any_tracer || options.shard_tracers.back() != nullptr;
-    any_metrics = any_metrics || options.shard_metrics.back() != nullptr;
   }
-  if (!any_tracer) options.shard_tracers.clear();
-  if (!any_metrics) options.shard_metrics.clear();
   serve::ShardedServeScenario scenario(std::move(options));
   run.summary = scenario.run();
   return run;
@@ -346,8 +340,7 @@ int main(int argc, char** argv) {
     cell.priv = run_mode(base, shards, *route, /*shared=*/false, jobs,
                          obs_session, /*primary=*/false);
     // Sequential reference on a fresh identical world, untraced.
-    serve::ServeScenario reference(base);
-    cell.reference = reference.run_sequential_reference();
+    cell.reference = serve::run_sequential_reference(base);
 
     obs::LeakLedger cell_ledger;
     cell.ledger_ok =

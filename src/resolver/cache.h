@@ -84,7 +84,7 @@ struct CacheLimits {
 };
 
 /// All resolver-side caches, sharing one virtual clock.
-class ResolverCache : public DenialProofSource {
+class ResolverCache {
  public:
   explicit ResolverCache(const sim::SimClock& clock) : clock_(&clock) {}
 
@@ -125,16 +125,17 @@ class ResolverCache : public DenialProofSource {
 
   // -- Unified denial lookup (DESIGN.md §4j) ---------------------------------
 
-  /// One entry point over all denial proofs: exact negatives, then the
-  /// private NSEC span index, then the shared store, then hash-gated NSEC3
-  /// synthesis — whichever classes `sources` enables. Counters:
-  /// "cache.negative_hit", "cache.nsec_hit", "cache.nsec_shared_hit",
-  /// "cache.synth_nsec3_hit".
+  /// Strongest available denial for (qname, qtype) under `zone_apex`,
+  /// consulting only the proof classes `sources` enables. Precedence on
+  /// multiple hits (cheapest-to-verify first): exact negative entry, then
+  /// the private NSEC span index, then the shared store, then hash-gated
+  /// NSEC3 synthesis. Counters: "cache.negative_hit", "cache.nsec_hit",
+  /// "cache.nsec_shared_hit", "cache.synth_nsec3_hit".
   [[nodiscard]] ProofResult find_denial(const dns::Name& zone_apex,
                                         const dns::Name& qname,
                                         dns::RRType qtype,
                                         unsigned sources =
-                                            DenialSources::kAll) override;
+                                            DenialSources::kAll);
 
   // -- SERVFAIL cache (RFC 2308 §7) ------------------------------------------
 

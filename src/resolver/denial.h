@@ -3,7 +3,7 @@
 // Every denial proof the resolver holds — RFC 2308 exact negatives,
 // validated NSEC spans (RFC 8198 / RFC 5074 §5) in the private cache and in
 // the cross-shard SharedProofStore, and NSEC3 closest-encloser evidence —
-// answers through one call, DenialProofSource::find_denial. Its one
+// answers through one call, ResolverCache::find_denial (cache.h). Its one
 // ProofResult carries everything the caller's policy, accounting and
 // leak-cause attribution need (what is denied, where the proof came from,
 // until when it holds, and how many NSEC3 hash ops it cost). The span
@@ -65,21 +65,6 @@ struct DenialSources {
     kNsec3 = 1u << 2,     // NSEC3 closest-encloser evidence (hash-gated)
     kAll = kNegative | kSpans | kNsec3,
   };
-};
-
-/// Anything that can answer "is (qname, qtype) provably absent in
-/// zone_apex?" from already-validated material.
-class DenialProofSource {
- public:
-  virtual ~DenialProofSource() = default;
-
-  /// Strongest available denial for (qname, qtype) under `zone_apex`,
-  /// consulting only the proof classes enabled in `sources`. Precedence on
-  /// multiple hits: exact negative entry, then local span, then shared
-  /// span, then NSEC3 synthesis (cheapest-to-verify first).
-  [[nodiscard]] virtual ProofResult find_denial(
-      const dns::Name& zone_apex, const dns::Name& qname, dns::RRType qtype,
-      unsigned sources = DenialSources::kAll) = 0;
 };
 
 }  // namespace lookaside::resolver

@@ -154,7 +154,6 @@ void FrontendServer::finish(Served& served, const dns::Message& request,
 
   ClientAccount& acct = account(served.client);
   acct.answered += 1;
-  acct.latency_sum_us += served.latency_us();
 }
 
 Served FrontendServer::serve_decoded(const WireQuery& query,
@@ -348,13 +347,6 @@ std::vector<Served> FrontendServer::run(std::vector<WireQuery> arrivals) {
     served.push_back(submit(arrival));
   }
   return served;
-}
-
-dns::Message FrontendServer::handle_query(const dns::Message& query) {
-  const WireQuery wire{network_->clock().now_us(), 0, 0,
-                       dns::encode_message(query)};
-  const Served served = submit(wire);
-  return dns::decode_message(served.response_wire);
 }
 
 }  // namespace lookaside::serve

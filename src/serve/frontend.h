@@ -111,14 +111,12 @@ struct ClientAccount {
   std::uint64_t cpu_drops = 0;        // shed by the CPU budget
   std::uint64_t formerr = 0;
   std::uint64_t case2_leaks = 0;  // leaks attributed to this client
-  std::uint64_t latency_sum_us = 0;
   std::uint64_t cpu_spent_us = 0;     // validation CPU billed to this client
 };
 
-/// The serving frontend. Also a sim::Endpoint ("frontend") so a single
-/// interactive stub can reach it through Network::exchange; the multi-client
-/// path is run()/submit().
-class FrontendServer : public sim::Endpoint {
+/// The serving frontend: run()/submit() serve wire queries from many
+/// clients.
+class FrontendServer {
  public:
   FrontendServer(sim::Network& network, resolver::RecursiveResolver& resolver,
                  FrontendOptions options = {});
@@ -172,14 +170,6 @@ class FrontendServer : public sim::Endpoint {
 
   /// High-water mark of outstanding client queries.
   [[nodiscard]] std::size_t max_queue_depth() const { return max_depth_; }
-
-  /// Outstanding client queries right now (live in-flight waiters).
-  [[nodiscard]] std::size_t queue_depth() const { return depth_; }
-
-  // -- sim::Endpoint (single-stub convenience path) -------------------------
-
-  [[nodiscard]] std::string endpoint_id() const override { return "frontend"; }
-  [[nodiscard]] dns::Message handle_query(const dns::Message& query) override;
 
  private:
   /// One upstream resolution shared by every coalesced waiter.

@@ -1,7 +1,7 @@
 #include "serve/scenario.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <limits>
 
 #include "crypto/rng.h"
 #include "obs/tracer.h"
@@ -9,12 +9,18 @@
 
 namespace lookaside::serve {
 
+namespace {
+
+/// Deterministic quantile over sorted virtual latencies (nearest-rank;
+/// integer inputs, so no float-order sensitivity).
 double quantile_ms(const std::vector<std::uint64_t>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto index = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1));
   return static_cast<double>(sorted[index]) / 1000.0;
 }
+
+}  // namespace
 
 std::vector<WireQuery> encode_schedule(
     const std::vector<workload::ClientQuery>& schedule) {
@@ -92,123 +98,65 @@ void ServeStack::fill_registry_side(ScenarioSummary& summary) const {
 
 // -- Summaries ----------------------------------------------------------------
 
-ScenarioSummary summarize_served(const std::vector<Served>& served,
-                                 const FrontendServer& frontend,
-                                 std::uint32_t clients,
-                                 std::uint32_t attack_start,
-                                 std::vector<std::uint64_t>* latencies_out,
-                                 std::uint64_t* first_arrival_out,
-                                 std::uint64_t* last_completion_out) {
-  ScenarioSummary summary;
-  summary.served = served.size();
-  summary.coalesce_hits = frontend.stats().value("serve.coalesce.hits");
-  summary.coalesce_misses = frontend.stats().value("serve.coalesce.misses");
-  summary.overload_drops = frontend.stats().value("serve.overload.drops");
-  summary.cpu_drops = frontend.stats().value("serve.cpu.drops");
-  summary.max_queue_depth = frontend.max_queue_depth();
-
+void summarize_served(std::span<const std::vector<Served>> runs,
+                      std::uint32_t attack_start, ScenarioSummary& summary) {
   std::vector<std::uint64_t> latencies;
   std::vector<std::uint64_t> benign_latencies;
-  latencies.reserve(served.size());
-  std::uint64_t first_arrival = 0;
+  std::uint64_t first_arrival = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t last_completion = 0;
-  for (const Served& one : served) {
-    if (one.overload_drop || one.cpu_drop || one.formerr) continue;
-    latencies.push_back(one.latency_us());
-    if (one.client < attack_start) benign_latencies.push_back(one.latency_us());
-    if (first_arrival == 0 || one.arrival_us < first_arrival) {
-      first_arrival = one.arrival_us;
+  summary.served = 0;
+  for (const std::vector<Served>& run : runs) {
+    summary.served += run.size();
+    for (const Served& one : run) {
+      if (one.overload_drop || one.cpu_drop || one.formerr) continue;
+      latencies.push_back(one.latency_us());
+      if (one.client < attack_start) {
+        benign_latencies.push_back(one.latency_us());
+      }
+      first_arrival = std::min(first_arrival, one.arrival_us);
+      last_completion = std::max(last_completion, one.completion_us);
     }
-    last_completion = std::max(last_completion, one.completion_us);
   }
   std::sort(latencies.begin(), latencies.end());
   std::sort(benign_latencies.begin(), benign_latencies.end());
   summary.p50_ms = quantile_ms(latencies, 0.50);
   summary.p99_ms = quantile_ms(latencies, 0.99);
   summary.benign_p99_ms = quantile_ms(benign_latencies, 0.99);
-  const std::uint64_t makespan_us = last_completion - first_arrival;
+  const std::uint64_t makespan_us =
+      latencies.empty() ? 0 : last_completion - first_arrival;
   summary.qps = makespan_us == 0
                     ? 0.0
                     : static_cast<double>(summary.served) /
                           (static_cast<double>(makespan_us) / 1e6);
-
-  summary.case2_per_client.assign(clients, 0);
-  const std::vector<ClientAccount>& accounts = frontend.clients();
-  for (std::size_t i = 0; i < accounts.size(); ++i) {
-    if (i < summary.case2_per_client.size()) {
-      summary.case2_per_client[i] = accounts[i].case2_leaks;
-    }
-    summary.validation_cpu_us += accounts[i].cpu_spent_us;
-  }
-  if (latencies_out != nullptr) *latencies_out = std::move(latencies);
-  if (first_arrival_out != nullptr) *first_arrival_out = first_arrival;
-  if (last_completion_out != nullptr) *last_completion_out = last_completion;
-  return summary;
 }
 
-// -- ServeScenario ------------------------------------------------------------
+// -- Sequential reference -----------------------------------------------------
 
-ServeScenario::ServeScenario(ScenarioOptions options)
-    : options_(std::move(options)),
-      stack_(options_, options_.tracer, options_.metrics,
-             /*shared_store=*/nullptr, /*shard_id=*/0, /*shard_label=*/{}) {}
-
-ServeScenario::~ServeScenario() = default;
-
-ScenarioSummary ServeScenario::run() {
-  if (used_) throw std::logic_error("ServeScenario is single-shot");
-  used_ = true;
-
-  const workload::ClientMix mix(options_.mix);
-  const std::vector<Served> served =
-      stack_.frontend->run(encode_schedule(mix.generate(stack_.world->universe())));
-
-  ScenarioSummary summary = summarize_served(
-      served, *stack_.frontend, options_.mix.clients, mix.first_attacker());
-  stack_.fill_registry_side(summary);
-  return summary;
-}
-
-ScenarioSummary ServeScenario::run_sequential_reference() {
-  if (used_) throw std::logic_error("ServeScenario is single-shot");
-  used_ = true;
-
-  const workload::ClientMix mix(options_.mix);
+ScenarioSummary run_sequential_reference(const ScenarioOptions& options) {
+  ServeStack stack(options, /*tracer=*/nullptr, /*metrics=*/nullptr,
+                   /*shared_store=*/nullptr, /*shard_id=*/0,
+                   /*shard_label=*/{});
+  const workload::ClientMix mix(options.mix);
   const std::vector<workload::ClientQuery> schedule =
-      mix.generate(stack_.world->universe());
+      mix.generate(stack.world->universe());
 
   ScenarioSummary summary;
-  summary.served = schedule.size();
-  summary.case2_per_client.assign(options_.mix.clients, 0);
-
-  std::vector<std::uint64_t> latencies;
-  latencies.reserve(schedule.size());
-  std::uint64_t last_completion = 0;
-  for (const workload::ClientQuery& query : schedule) {
-    const std::uint64_t before = stack_.case2();
-    const std::uint64_t start_us = stack_.clock.now_us();
-    const resolver::ResolveResult result =
-        stack_.resolver->resolve({query.name, query.type});
-    (void)result;
-    const std::uint64_t cost_us = stack_.clock.now_us() - start_us;
-    latencies.push_back(cost_us);
-    last_completion = std::max(last_completion, query.time_us + cost_us);
+  summary.case2_per_client.assign(options.mix.clients, 0);
+  std::vector<Served> served(schedule.size());
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const workload::ClientQuery& query = schedule[i];
+    const std::uint64_t before = stack.case2();
+    const std::uint64_t start_us = stack.clock.now_us();
+    (void)stack.resolver->resolve({query.name, query.type});
+    served[i].client = query.client;
+    served[i].arrival_us = query.time_us;
+    served[i].completion_us = query.time_us + stack.clock.now_us() - start_us;
     if (query.client < summary.case2_per_client.size()) {
-      summary.case2_per_client[query.client] += stack_.case2() - before;
+      summary.case2_per_client[query.client] += stack.case2() - before;
     }
   }
-  std::sort(latencies.begin(), latencies.end());
-  summary.p50_ms = quantile_ms(latencies, 0.50);
-  summary.p99_ms = quantile_ms(latencies, 0.99);
-  const std::uint64_t first_arrival =
-      schedule.empty() ? 0 : schedule.front().time_us;
-  const std::uint64_t makespan_us =
-      last_completion > first_arrival ? last_completion - first_arrival : 0;
-  summary.qps = makespan_us == 0
-                    ? 0.0
-                    : static_cast<double>(summary.served) /
-                          (static_cast<double>(makespan_us) / 1e6);
-  stack_.fill_registry_side(summary);
+  summarize_served({&served, 1}, mix.first_attacker(), summary);
+  stack.fill_registry_side(summary);
   return summary;
 }
 

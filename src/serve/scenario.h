@@ -1,24 +1,24 @@
-// One-stop wiring for multi-client serving experiments: clock, network,
-// UniverseWorld, validating resolver, LeakageAnalyzer, FrontendServer and a
-// ClientMix schedule, plus the sequential reference model the frontend's
-// leak totals are checked against.
+// Building blocks of one serving run: ScenarioOptions, the ScenarioSummary
+// every run reports, ServeStack (clock, network, UniverseWorld, validating
+// resolver, LeakageAnalyzer and FrontendServer) and the summarizer that turns
+// Served records into latency and QPS figures. ShardedServeScenario
+// (serve/sharded.h) owns one ServeStack per shard and is the only serving
+// runner; a single shared resolver is its shards = 1 case.
 //
-// The reference model is the falsifier for coalescing: it replays the exact
-// same arrival-ordered schedule through a fresh identical world with one
-// resolve() per query and no in-flight sharing. Coalescing must not change
-// *what leaks* — a coalesced duplicate would have been a resolver cache hit
-// in the sequential world, and neither path reaches the DLV registry — so
-// the Case-2 totals and the leaked-domain sets of the two runs must be
-// identical. bench_serve_throughput exits nonzero when they are not.
-//
-// The stack itself (ServeStack) is a standalone building block so the
-// sharded runner (serve/sharded.h) can own N of them — one per resolver
-// shard — without duplicating the wiring.
+// The sequential reference model, run_sequential_reference, is the falsifier
+// for coalescing and sharding: it replays the exact same arrival-ordered
+// schedule through a fresh identical world with one resolve() per query and
+// no in-flight sharing. Coalescing must not change *what leaks* — a
+// coalesced duplicate would have been a resolver cache hit in the sequential
+// world, and neither path reaches the DLV registry — so the Case-2 totals
+// and the leaked-domain sets of the two runs must be identical.
+// bench_serve_throughput exits nonzero when they are not.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,11 +50,10 @@ struct ScenarioOptions {
   dlv::DlvRegistry::Options dlv;
   resolver::ResolverConfig resolver_config =
       resolver::ResolverConfig::bind_yum();
-  obs::Tracer* tracer = nullptr;            // nullable
-  obs::MetricsRegistry* metrics = nullptr;  // nullable
 };
 
-/// Aggregates one run of a scenario (frontend or sequential reference).
+/// Aggregates one serving run (a shard, a merged sharded run, or the
+/// sequential reference).
 struct ScenarioSummary {
   std::uint64_t served = 0;
   std::uint64_t coalesce_hits = 0;
@@ -80,21 +79,15 @@ struct ScenarioSummary {
   }
 };
 
-/// Deterministic quantile over sorted virtual latencies (nearest-rank;
-/// integer inputs, so no float-order sensitivity). Exposed so the sharded
-/// runner computes merged percentiles with the same estimator.
-[[nodiscard]] double quantile_ms(const std::vector<std::uint64_t>& sorted,
-                                 double q);
-
 /// Encodes an arrival schedule to wire queries with the deterministic
 /// per-query id contract ((client << 10) ^ seq ^ 0x5117).
 [[nodiscard]] std::vector<WireQuery> encode_schedule(
     const std::vector<workload::ClientQuery>& schedule);
 
 /// One full serving stack: private clock, network, world, analyzer,
-/// resolver and frontend. ServeScenario owns exactly one; the sharded
-/// runner owns one per shard (shared-nothing except the optional
-/// SharedProofStore attached to the resolver cache).
+/// resolver and frontend. The sharded runner owns one per shard
+/// (shared-nothing except the optional SharedProofStore attached to the
+/// resolver cache); the sequential reference builds one of its own.
 struct ServeStack {
   /// `shard_id`/`shard_label` feed the shared store's sibling accounting
   /// and the frontend's per-shard metric labels; `shared_store` (nullable)
@@ -121,43 +114,21 @@ struct ServeStack {
   std::unique_ptr<FrontendServer> frontend;
 };
 
-/// Builds the frontend-side summary fields from one run's Served records.
-/// Shed queries (SERVFAIL at arrival, zero latency) are excluded from the
+/// Fills the latency side of `summary` from the Served records of one or
+/// more runs: `served` (every record), p50/p99 over answered queries,
+/// benign p99 over clients below `attack_start`, and QPS over the virtual
+/// makespan from the first answered arrival to the last completion. Shed
+/// queries (SERVFAIL at arrival, zero latency) are excluded from the
 /// latency sample — they would otherwise make an overloaded run look fast.
-/// When non-null, `latencies_out` receives the sorted answered-query
-/// latencies and `first_arrival_out`/`last_completion_out` the run's span
-/// endpoints, so the sharded runner can merge percentiles and makespans
-/// canonically. Registry-side fields are NOT filled here.
-[[nodiscard]] ScenarioSummary summarize_served(
-    const std::vector<Served>& served, const FrontendServer& frontend,
-    std::uint32_t clients, std::uint32_t attack_start,
-    std::vector<std::uint64_t>* latencies_out = nullptr,
-    std::uint64_t* first_arrival_out = nullptr,
-    std::uint64_t* last_completion_out = nullptr);
+/// Percentiles are nearest-rank over integer latencies, so the result does
+/// not depend on how the records are split across runs.
+void summarize_served(std::span<const std::vector<Served>> runs,
+                      std::uint32_t attack_start, ScenarioSummary& summary);
 
-/// Owns one full serving stack for one run (single-shot: build, run, read).
-class ServeScenario {
- public:
-  explicit ServeScenario(ScenarioOptions options);
-  ~ServeScenario();
-
-  /// Generates the ClientMix schedule, encodes it to wire, and serves it
-  /// through the coalescing frontend.
-  [[nodiscard]] ScenarioSummary run();
-
-  /// Serves the identical schedule with one resolve() per query and no
-  /// coalescing, on this scenario's (fresh) stack. Build a separate
-  /// ServeScenario from the same options to compare against run().
-  [[nodiscard]] ScenarioSummary run_sequential_reference();
-
-  [[nodiscard]] FrontendServer& frontend() { return *stack_.frontend; }
-  [[nodiscard]] workload::UniverseWorld& world() { return *stack_.world; }
-  [[nodiscard]] sim::Network& network() { return stack_.network; }
-
- private:
-  ScenarioOptions options_;
-  ServeStack stack_;
-  bool used_ = false;
-};
+/// Serves the schedule `options` generates with one resolve() per query,
+/// in arrival order and without coalescing, on a freshly built ServeStack.
+/// Every query counts as answered at arrival + its resolution cost.
+[[nodiscard]] ScenarioSummary run_sequential_reference(
+    const ScenarioOptions& options);
 
 }  // namespace lookaside::serve

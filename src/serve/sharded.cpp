@@ -17,6 +17,25 @@ double ms_since(WallClock::time_point start) {
       .count();
 }
 
+/// Frontend-side fields of one shard's summary: coalescing and admission
+/// counters, the queue-depth high-water mark, per-client Case-2
+/// attribution and billed validation CPU.
+void fill_frontend_side(const FrontendServer& frontend, std::uint32_t clients,
+                        ScenarioSummary& summary) {
+  const metrics::CounterSet& stats = frontend.stats();
+  summary.coalesce_hits = stats.value("serve.coalesce.hits");
+  summary.coalesce_misses = stats.value("serve.coalesce.misses");
+  summary.overload_drops = stats.value("serve.overload.drops");
+  summary.cpu_drops = stats.value("serve.cpu.drops");
+  summary.max_queue_depth = frontend.max_queue_depth();
+  summary.case2_per_client.assign(clients, 0);
+  const std::vector<ClientAccount>& accounts = frontend.clients();
+  for (std::size_t i = 0; i < accounts.size(); ++i) {
+    if (i < clients) summary.case2_per_client[i] = accounts[i].case2_leaks;
+    summary.validation_cpu_us += accounts[i].cpu_spent_us;
+  }
+}
+
 // Ring-point / key domains are separated by fixed tags so a client key can
 // never collide with a ring point by construction.
 constexpr std::uint64_t kRingTag = 0xC0115157ULL;    // ring points
@@ -149,48 +168,30 @@ ShardedSummary ShardedServeScenario::run() {
     // Shard-private parallel serving: one worker per shard, shared nothing.
     const unsigned jobs = options_.jobs == 0 ? shards : options_.jobs;
     engine::for_each_shard(shards, jobs, [&](std::size_t s) {
-      const auto shard_start = WallClock::now();
       served[s] = stacks_[s]->frontend->run(encode_schedule(parts[s]));
-      out.shards[s].wall_ms = ms_since(shard_start);
     });
   }
   out.serve_wall_ms = ms_since(serve_start);
 
-  // Per-shard reports + pooled latency sample, merged in shard-index order.
-  std::vector<std::uint64_t> pooled;
-  std::vector<std::uint64_t> pooled_benign;
-  std::uint64_t first_arrival = 0;
-  std::uint64_t last_completion = 0;
-  out.merged.case2_per_client.assign(options_.base.mix.clients, 0);
+  // Per-shard reports, merged in shard-index order.
+  const std::uint32_t clients = options_.base.mix.clients;
+  ScenarioSummary& merged = out.merged;
+  merged.case2_per_client.assign(clients, 0);
   for (std::uint32_t s = 0; s < shards; ++s) {
     ShardReport& report = out.shards[s];
     report.shard = s;
     report.queries_routed = parts[s].size();
-    std::vector<bool> seen(options_.base.mix.clients, false);
+    std::vector<bool> seen(clients, false);
     for (const workload::ClientQuery& query : parts[s]) {
       if (query.client < seen.size() && !seen[query.client]) {
         seen[query.client] = true;
         ++report.clients_routed;
       }
     }
-    std::vector<std::uint64_t> latencies;
-    report.summary = summarize_served(served[s], *stacks_[s]->frontend,
-                                      options_.base.mix.clients, attack_start,
-                                      &latencies);
+    summarize_served({&served[s], 1}, attack_start, report.summary);
+    fill_frontend_side(*stacks_[s]->frontend, clients, report.summary);
     stacks_[s]->fill_registry_side(report.summary);
 
-    for (const Served& one : served[s]) {
-      if (one.overload_drop || one.cpu_drop || one.formerr) continue;
-      pooled.push_back(one.latency_us());
-      if (one.client < attack_start) pooled_benign.push_back(one.latency_us());
-      if (first_arrival == 0 || one.arrival_us < first_arrival) {
-        first_arrival = one.arrival_us;
-      }
-      last_completion = std::max(last_completion, one.completion_us);
-    }
-
-    ScenarioSummary& merged = out.merged;
-    merged.served += report.summary.served;
     merged.coalesce_hits += report.summary.coalesce_hits;
     merged.coalesce_misses += report.summary.coalesce_misses;
     merged.overload_drops += report.summary.overload_drops;
@@ -205,17 +206,8 @@ ShardedSummary ShardedServeScenario::run() {
       merged.case2_per_client[c] += report.summary.case2_per_client[c];
     }
   }
-  out.merged.distinct_leaked = out.merged.leaked_domains.size();
-  std::sort(pooled.begin(), pooled.end());
-  std::sort(pooled_benign.begin(), pooled_benign.end());
-  out.merged.p50_ms = quantile_ms(pooled, 0.50);
-  out.merged.p99_ms = quantile_ms(pooled, 0.99);
-  out.merged.benign_p99_ms = quantile_ms(pooled_benign, 0.99);
-  const std::uint64_t makespan_us = last_completion - first_arrival;
-  out.merged.qps = makespan_us == 0
-                       ? 0.0
-                       : static_cast<double>(out.merged.served) /
-                             (static_cast<double>(makespan_us) / 1e6);
+  merged.distinct_leaked = merged.leaked_domains.size();
+  summarize_served(served, attack_start, merged);
 
   // Structural acceptance: shard accounting must tile the merged totals.
   std::uint64_t served_sum = 0;
@@ -228,8 +220,7 @@ ShardedSummary ShardedServeScenario::run() {
   for (const std::uint64_t count : out.merged.case2_per_client) {
     per_client_sum += count;
   }
-  out.sums_consistent = served_sum == out.merged.served &&
-                        routed_sum == schedule.size() &&
+  out.sums_consistent = routed_sum == schedule.size() &&
                         served_sum == schedule.size() &&
                         per_client_sum == out.merged.case2_total;
 

@@ -1,6 +1,8 @@
-// Multi-core sharded serving (DESIGN.md §4i): N thread-per-resolver shards
-// behind one consistent-hash router, following PowerDNS recursor's
-// thread-per-resolver model.
+// The serving runner (DESIGN.md §4i): N thread-per-resolver shards behind
+// one consistent-hash router, following PowerDNS recursor's
+// thread-per-resolver model. A single shared resolver is the shards = 1
+// case; the sequential reference it is checked against is
+// run_sequential_reference (serve/scenario.h).
 //
 // Each shard is a complete, shared-nothing ServeStack — its own virtual
 // clock, network, signed world, validating resolver, bounded private cache
@@ -33,7 +35,9 @@
 //
 // The merged summary is assembled in canonical shard-index order (the
 // engine idiom from DESIGN.md §4d), so all virtual-time outputs are
-// byte-identical for any worker-thread count.
+// byte-identical for any worker-thread count. Per-shard and merged latency
+// figures come from the one summarizer, summarize_served, so with one shard
+// the merged summary equals that shard's.
 #pragma once
 
 #include <cstdint>
@@ -85,8 +89,6 @@ class ShardRouter {
 struct ShardedOptions {
   /// Per-shard stack shape (universe, mix, frontend, resolver config). The
   /// mix describes the *whole* client population; the router partitions it.
-  /// base.tracer/base.metrics are ignored — per-shard tracers/metrics come
-  /// from the vectors below (worker threads must never share a sink).
   ScenarioOptions base;
   std::uint32_t shards = 1;
   ShardRoute route = ShardRoute::kClient;
@@ -95,7 +97,8 @@ struct ShardedOptions {
   bool shared_store = false;
   /// Worker threads for shard-private parallel serving; 0 = one per shard.
   unsigned jobs = 0;
-  /// Optional per-shard observability (empty, or exactly `shards` entries).
+  /// Optional per-shard observability (empty, or exactly `shards` entries,
+  /// any of which may be null). Worker threads must never share a sink.
   std::vector<obs::Tracer*> shard_tracers;
   std::vector<obs::MetricsRegistry*> shard_metrics;
 };
@@ -106,7 +109,6 @@ struct ShardReport {
   std::uint32_t shard = 0;
   std::uint32_t clients_routed = 0;    // distinct clients this shard served
   std::uint64_t queries_routed = 0;
-  double wall_ms = 0.0;                // host time serving this shard
 };
 
 /// Merged + per-shard results of one sharded run.
@@ -118,13 +120,13 @@ struct ShardedSummary {
   std::vector<ShardReport> shards;
   double serve_wall_ms = 0.0;  // host time for the whole serving phase
   resolver::SharedProofStore::Stats store;  // zeros in private mode
-  /// Structural acceptance: per-shard counts sum to the merged totals
-  /// (served, coalesce, drops, Case-2, per-client attribution).
+  /// Structural acceptance: per-shard routed and served counts each sum to
+  /// the schedule size, and per-client attribution sums to merged Case-2.
   bool sums_consistent = true;
 };
 
-/// Owns N ServeStacks and runs one sharded serving experiment
-/// (single-shot, like ServeScenario).
+/// Owns N ServeStacks and runs one serving experiment (single-shot: build,
+/// run, read).
 class ShardedServeScenario {
  public:
   explicit ShardedServeScenario(ShardedOptions options);

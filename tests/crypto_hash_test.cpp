@@ -1,10 +1,9 @@
-// Unit tests for SHA-256, SHA-1 and HMAC-SHA256 against published vectors.
+// Unit tests for SHA-256 and SHA-1 against published vectors.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "crypto/bytes.h"
-#include "crypto/hmac.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
 
@@ -72,27 +71,6 @@ TEST(Sha1Test, TwoBlockMessage) {
   EXPECT_EQ(to_hex(Sha1::digest(
                 "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
-
-TEST(HmacTest, Rfc4231Case1) {
-  const Bytes key(20, 0x0b);
-  EXPECT_EQ(to_hex(hmac_sha256(key, bytes_of("Hi There"))),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-}
-
-TEST(HmacTest, Rfc4231Case2) {
-  EXPECT_EQ(to_hex(hmac_sha256(bytes_of("Jefe"),
-                               bytes_of("what do ya want for nothing?"))),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-TEST(HmacTest, LongKeyIsHashedFirst) {
-  // RFC 4231 test case 6: 131-byte key.
-  const Bytes key(131, 0xaa);
-  EXPECT_EQ(to_hex(hmac_sha256(
-                key, bytes_of("Test Using Larger Than Block-Size Key - "
-                              "Hash Key First"))),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
 TEST(HexTest, RoundTrip) {

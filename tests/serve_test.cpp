@@ -1,8 +1,8 @@
 // Serving-frontend tests: query coalescing (two waiters, one upstream
 // resolution), post-completion misses, fault-driven SERVFAIL fan-out,
-// admission control, FORMERR handling, plain-stub stripping, the
-// sim::Endpoint adapter, and the scenario-level identity between the
-// coalescing frontend and the sequential reference model.
+// admission control, FORMERR handling, plain-stub stripping, and the
+// scenario-level identity between the coalescing frontend (a one-shard
+// serving run) and the sequential reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,7 @@
 #include "obs/tracer.h"
 #include "resolver/resolver.h"
 #include "serve/frontend.h"
-#include "serve/scenario.h"
+#include "serve/sharded.h"
 #include "server/testbed.h"
 #include "sim/clock.h"
 
@@ -30,7 +30,6 @@ using serve::FrontendServer;
 using serve::ScenarioOptions;
 using serve::ScenarioSummary;
 using serve::Served;
-using serve::ServeScenario;
 using serve::WireQuery;
 
 dns::Bytes wire_query(const std::string& name, dns::RRType type,
@@ -200,18 +199,6 @@ TEST(ServeTest, PlainStubResponsesAreStripped) {
   EXPECT_NE(full.first_answer(dns::RRType::kRrsig), nullptr);
 }
 
-TEST(ServeTest, EndpointAdapterServesOverTheNetwork) {
-  ServeFixture fixture;
-  const dns::Message query = dns::Message::make_query(
-      0xbeef, dns::Name::parse("island.com"), dns::RRType::kA, true, true);
-  const auto response =
-      fixture.network_.exchange("stub", *fixture.frontend_, query);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->header.id, 0xbeef);
-  EXPECT_EQ(response->header.rcode, dns::RCode::kNoError);
-  EXPECT_NE(response->first_answer(dns::RRType::kA), nullptr);
-}
-
 ScenarioOptions small_scenario() {
   ScenarioOptions options;
   options.universe_size = 2'000;
@@ -228,10 +215,18 @@ ScenarioOptions small_scenario() {
   return options;
 }
 
+/// One shared resolver behind the frontend: a one-shard serving run.
+ScenarioSummary serve_one(ScenarioOptions options,
+                          obs::Tracer* tracer = nullptr) {
+  serve::ShardedOptions sharded;
+  sharded.base = std::move(options);
+  sharded.shard_tracers = {tracer};
+  return serve::ShardedServeScenario(std::move(sharded)).run().merged;
+}
+
 TEST(ServeScenarioTest, CoalescedRunLeaksExactlyWhatSequentialWould) {
-  ScenarioSummary coalesced = ServeScenario(small_scenario()).run();
-  ScenarioSummary reference =
-      ServeScenario(small_scenario()).run_sequential_reference();
+  ScenarioSummary coalesced = serve_one(small_scenario());
+  ScenarioSummary reference = serve::run_sequential_reference(small_scenario());
 
   // The overlapping Zipf head must actually produce sharing, or this test
   // proves nothing — and nothing may be shed, or the comparison is void.
@@ -321,9 +316,7 @@ TEST(ServeTraceTest, LedgerAgreesWithScenarioCase2Accounting) {
   tracer.add_sink(ledger);
   tracer.add_sink(timeline);
 
-  ScenarioOptions options = small_scenario();
-  options.tracer = &tracer;
-  const ScenarioSummary summary = ServeScenario(std::move(options)).run();
+  const ScenarioSummary summary = serve_one(small_scenario(), &tracer);
 
   EXPECT_GT(summary.case2_total, 0u);
   EXPECT_EQ(ledger->case2_total(), summary.case2_total);
@@ -353,9 +346,7 @@ TEST(ServeTraceTest, ProfilesAndLedgerAreRunToRunIdentical) {
     auto timeline = std::make_shared<obs::TimelineSink>();
     tracer.add_sink(ledger);
     tracer.add_sink(timeline);
-    ScenarioOptions options = small_scenario();
-    options.tracer = &tracer;
-    (void)ServeScenario(std::move(options)).run();
+    (void)serve_one(small_scenario(), &tracer);
 
     std::string blob;
     for (const obs::QueryProfile& profile :
@@ -375,8 +366,8 @@ TEST(ServeTraceTest, ProfilesAndLedgerAreRunToRunIdentical) {
 }
 
 TEST(ServeScenarioTest, RunsAreDeterministic) {
-  const ScenarioSummary a = ServeScenario(small_scenario()).run();
-  const ScenarioSummary b = ServeScenario(small_scenario()).run();
+  const ScenarioSummary a = serve_one(small_scenario());
+  const ScenarioSummary b = serve_one(small_scenario());
   EXPECT_EQ(a.served, b.served);
   EXPECT_EQ(a.coalesce_hits, b.coalesce_hits);
   EXPECT_EQ(a.coalesce_misses, b.coalesce_misses);

@@ -281,8 +281,7 @@ serve::ScenarioOptions small_mix() {
 }
 
 serve::ScenarioSummary sequential_reference() {
-  serve::ServeScenario reference(small_mix());
-  return reference.run_sequential_reference();
+  return serve::run_sequential_reference(small_mix());
 }
 
 ShardedSummary run_sharded(std::uint32_t shards, bool shared) {
@@ -346,6 +345,44 @@ TEST(ShardedServe, MergedCountsTileAcrossShards) {
     per_client += count;
   }
   EXPECT_EQ(per_client, result.merged.case2_total);
+}
+
+TEST(ShardedServe, OneShardMergedSummaryEqualsItsShard) {
+  // One summarizer feeds both the per-shard and the merged figures, so a
+  // one-shard run's merged summary is exactly its shard's. Half the clients
+  // cache-bust so the benign p99 is a distinct sample.
+  for (const bool shared : {false, true}) {
+    ShardedOptions options;
+    options.base = small_mix();
+    options.base.mix.attack_fraction = 0.5;
+    options.shared_store = shared;
+    const ShardedSummary result =
+        ShardedServeScenario(std::move(options)).run();
+    ASSERT_EQ(result.shards.size(), 1u);
+    const serve::ScenarioSummary& merged = result.merged;
+    const serve::ScenarioSummary& shard = result.shards[0].summary;
+    EXPECT_GE(merged.served, 80u);
+    EXPECT_GT(merged.case2_total, 0u);
+    EXPECT_GT(merged.p99_ms, 0.0);
+    EXPECT_EQ(merged.served, shard.served);
+    EXPECT_EQ(merged.coalesce_hits, shard.coalesce_hits);
+    EXPECT_EQ(merged.coalesce_misses, shard.coalesce_misses);
+    EXPECT_EQ(merged.overload_drops, shard.overload_drops);
+    EXPECT_EQ(merged.cpu_drops, shard.cpu_drops);
+    EXPECT_EQ(merged.max_queue_depth, shard.max_queue_depth);
+    EXPECT_EQ(merged.validation_cpu_us, shard.validation_cpu_us);
+    EXPECT_EQ(merged.p50_ms, shard.p50_ms);
+    EXPECT_EQ(merged.p99_ms, shard.p99_ms);
+    EXPECT_EQ(merged.benign_p99_ms, shard.benign_p99_ms);
+    EXPECT_EQ(merged.qps, shard.qps);
+    EXPECT_EQ(merged.case2_total, shard.case2_total);
+    EXPECT_EQ(merged.distinct_leaked, shard.distinct_leaked);
+    EXPECT_EQ(merged.leaked_domains, shard.leaked_domains);
+    EXPECT_EQ(merged.case2_per_client, shard.case2_per_client);
+    EXPECT_EQ(result.shards[0].queries_routed, merged.served);
+    EXPECT_EQ(result.shards[0].clients_routed, 4u);
+    EXPECT_TRUE(result.sums_consistent);
+  }
 }
 
 TEST(ShardedServe, RunIsDeterministicAcrossWorkerCounts) {

@@ -1,5 +1,5 @@
 // RFC 8198 aggressive synthesis + vState verdict caching (DESIGN.md §4j):
-// the unified DenialProofSource API (origin attribution, stored expiry
+// the unified find_denial API (origin attribution, stored expiry
 // deadlines), the sorted span index against a linear reference model,
 // hash-gated NSEC3 synthesis from cached closest-encloser evidence, the
 // validator's signature-verdict cache (hit / expiry / key rollover /
@@ -487,8 +487,8 @@ serve::ScenarioOptions synth_mix(bool synthesis) {
 }
 
 TEST(SynthesisServe, ShardedMergedLeaksEqualTheSequentialReference) {
-  serve::ServeScenario reference(synth_mix(/*synthesis=*/true));
-  const serve::ScenarioSummary expected = reference.run_sequential_reference();
+  const serve::ScenarioSummary expected =
+      serve::run_sequential_reference(synth_mix(/*synthesis=*/true));
 
   for (const std::uint32_t shards : {1u, 4u}) {
     serve::ShardedOptions options;
@@ -508,10 +508,10 @@ TEST(SynthesisServe, SynthesisDoesNotChangeWhoLearnsWhatUncapped) {
   // With an unbounded cache the paper-era aggressive NSEC cache already
   // suppresses every repeat denial; full synthesis must not leak anything
   // new (it can only answer earlier, never query more).
-  serve::ServeScenario off(synth_mix(/*synthesis=*/false));
-  serve::ServeScenario on(synth_mix(/*synthesis=*/true));
-  const serve::ScenarioSummary off_summary = off.run_sequential_reference();
-  const serve::ScenarioSummary on_summary = on.run_sequential_reference();
+  const serve::ScenarioSummary off_summary =
+      serve::run_sequential_reference(synth_mix(/*synthesis=*/false));
+  const serve::ScenarioSummary on_summary =
+      serve::run_sequential_reference(synth_mix(/*synthesis=*/true));
   EXPECT_LE(on_summary.case2_total, off_summary.case2_total);
   for (const std::string& domain : on_summary.leaked_domains) {
     EXPECT_TRUE(off_summary.leaked_domains.count(domain) > 0) << domain;
