@@ -15,11 +15,18 @@
 //   - crypto.rsa_sign_ns / rsa_verify_ns / keygen_ns: RSA unit costs on
 //     256-bit keys (the simulator's key size), and crypto.divmod_ns: one
 //     512-by-256-bit BigUint::divmod
+//   - crypto.sha1_ns: one SHA-1 inside zone::nsec3_hash at 100 iterations
+//     (the call's time divided by its nsec3_hash_ops), and
+//     crypto.sha256_1kib_ns: one Sha256::digest of 1 KiB
 //   - resolutions/sec for a fixed grid of independent experiments, run
 //     once at --jobs 1 and once at --jobs N, with the speedup ratio
 //
 // and writes them as BENCH_perf.json (schema "lookaside.bench_perf.v4",
 // documented in EXPERIMENTS.md) so CI can diff runs across commits.
+//
+// Every per-operation latency is the fastest of kRounds equal rounds, the
+// same rule perfbench applies to submit(): a round that a loaded host
+// descheduled is discarded instead of averaged in.
 //
 // Parallel speedup is only meaningful when the host actually has cores to
 // scale onto: on a single-hardware-thread runner the "parallel" leg is a
@@ -37,6 +44,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -57,6 +65,7 @@
 #include "resolver/cache.h"
 #include "resolver/resolver.h"
 #include "sim/clock.h"
+#include "zone/nsec3.h"
 
 namespace {
 
@@ -70,6 +79,24 @@ double seconds_since(WallClock::time_point start) {
 void sink(std::uint64_t value) {
   volatile std::uint64_t keep = value;
   (void)keep;
+}
+
+constexpr int kRounds = 5;
+
+/// Host ns per call of `op`: the fastest of kRounds rounds, each calling
+/// op(0) .. op(ops - 1) and summing the results into a kept checksum.
+template <typename Op>
+double fastest_ns_per_op(std::size_t ops, Op op) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < kRounds; ++round) {
+    std::uint64_t checksum = 0;
+    const auto start = WallClock::now();
+    for (std::size_t i = 0; i < ops; ++i) checksum += op(i);
+    best = std::min(best,
+                    seconds_since(start) * 1e9 / static_cast<double>(ops));
+    sink(checksum);
+  }
+  return best;
 }
 
 std::string fixed(double value, int digits) {
@@ -141,59 +168,45 @@ int main(int argc, char** argv) {
                                           : "is NOT authoritative here.\n");
 
   // --- dns::Name parse + memoized hash ----------------------------------
+  // Each count below is per timed round; fastest_ns_per_op runs kRounds.
   const std::size_t corpus_size = quick ? 2'000 : 20'000;
-  const std::size_t parse_rounds = quick ? 5 : 25;
   const std::vector<std::string> corpus = make_corpus(corpus_size);
-
-  auto start = WallClock::now();
-  std::uint64_t checksum = 0;
-  for (std::size_t round = 0; round < parse_rounds; ++round) {
-    for (const std::string& text : corpus) {
-      checksum += dns::Name::parse(text).hash();
-    }
-  }
-  const double parse_ns = seconds_since(start) * 1e9 /
-                          static_cast<double>(corpus_size * parse_rounds);
-  sink(checksum);
-
   std::vector<dns::Name> names;
   names.reserve(corpus_size);
   for (const std::string& text : corpus) names.push_back(dns::Name::parse(text));
 
-  const std::size_t hash_rounds = quick ? 200 : 2'000;
-  start = WallClock::now();
-  checksum = 0;
-  for (std::size_t round = 0; round < hash_rounds; ++round) {
-    for (const dns::Name& name : names) checksum += name.hash();
-  }
-  const double hash_ns = seconds_since(start) * 1e9 /
-                         static_cast<double>(corpus_size * hash_rounds);
-  sink(checksum);
+  // ns per element of `items` for `passes` passes of `per_item` over it.
+  const auto per_item_ns = [](std::size_t passes, const auto& items,
+                              auto per_item) {
+    return fastest_ns_per_op(passes, [&](std::size_t) {
+             std::uint64_t sum = 0;
+             for (const auto& item : items) sum += per_item(item);
+             return sum;
+           }) /
+           static_cast<double>(items.size());
+  };
+
+  const double parse_ns =
+      per_item_ns(quick ? 1 : 5, corpus, [](const std::string& text) {
+        return dns::Name::parse(text).hash();
+      });
+  const double hash_ns =
+      per_item_ns(quick ? 40 : 400, names,
+                  [](const dns::Name& name) { return name.hash(); });
 
   // --- name interning arena (§4k) ----------------------------------------
   dns::NameArena arena;
   for (const dns::Name& name : names) (void)arena.intern(name);
-  const std::size_t intern_rounds = quick ? 100 : 1'000;
-  start = WallClock::now();
-  checksum = 0;
-  for (std::size_t round = 0; round < intern_rounds; ++round) {
-    for (const dns::Name& name : names) checksum += arena.intern(name);
-  }
-  const double intern_ns = seconds_since(start) * 1e9 /
-                           static_cast<double>(corpus_size * intern_rounds);
-  sink(checksum);
+  const std::size_t intern_passes = quick ? 20 : 200;
+  const double intern_ns =
+      per_item_ns(intern_passes, names,
+                  [&](const dns::Name& name) { return arena.intern(name); });
 
   // Bare NameHashMap probe hit through the arena index: no cache sections,
   // no TTL checks — the number the <30ns probe-hit target is judged on.
-  start = WallClock::now();
-  checksum = 0;
-  for (std::size_t round = 0; round < intern_rounds; ++round) {
-    for (const dns::Name& name : names) checksum += arena.find(name);
-  }
   const double arena_probe_ns =
-      seconds_since(start) * 1e9 /
-      static_cast<double>(corpus_size * intern_rounds);
-  sink(checksum);
+      per_item_ns(intern_passes, names,
+                  [&](const dns::Name& name) { return arena.find(name); });
 
   // --- resolver cache probes ---------------------------------------------
   sim::SimClock clock;
@@ -203,17 +216,10 @@ int main(int argc, char** argv) {
     rrset.add(dns::ResourceRecord::make(name, 3600, dns::ARdata{0x5DB8D822}));
     cache.store(rrset, /*validated=*/false);
   }
-  const std::size_t probe_rounds = quick ? 20 : 200;
-  start = WallClock::now();
-  checksum = 0;
-  for (std::size_t round = 0; round < probe_rounds; ++round) {
-    for (const dns::Name& name : names) {
-      checksum += cache.find(name, dns::RRType::kA) != nullptr;
-    }
-  }
-  const double probe_hit_ns = seconds_since(start) * 1e9 /
-                              static_cast<double>(corpus_size * probe_rounds);
-  sink(checksum);
+  const double probe_hit_ns =
+      per_item_ns(quick ? 4 : 40, names, [&](const dns::Name& name) {
+        return cache.find(name, dns::RRType::kA) != nullptr;
+      });
 
   // Aggressive NSEC chain: owners at even indices, probes at odd indices
   // (every probe lands strictly between two chain entries -> kNameCovered).
@@ -234,40 +240,30 @@ int main(int argc, char** argv) {
     std::snprintf(probe, sizeof probe, "n%06zu.example", 2 * i + 1);
     covered.push_back(dns::Name::parse(probe));
   }
-  const std::size_t nsec_rounds = quick ? 20 : 200;
-  start = WallClock::now();
-  checksum = 0;
-  for (std::size_t round = 0; round < nsec_rounds; ++round) {
-    for (const dns::Name& name : covered) {
-      checksum += cache
-                      .find_denial(zone, name, dns::RRType::kA,
-                                   resolver::DenialSources::kSpans)
-                      .coverage == resolver::DenialKind::kNxDomain;
-    }
-  }
-  const double probe_nsec_ns = seconds_since(start) * 1e9 /
-                               static_cast<double>(chain_size * nsec_rounds);
-  sink(checksum);
+  const double probe_nsec_ns =
+      per_item_ns(quick ? 4 : 40, covered, [&](const dns::Name& name) {
+        return cache
+                   .find_denial(zone, name, dns::RRType::kA,
+                                resolver::DenialSources::kSpans)
+                   .coverage == resolver::DenialKind::kNxDomain;
+      });
 
   // --- batched RSA verification (§4k) ------------------------------------
   // Memo-hit latency: the cost a deduped verification pays instead of the
   // modular exponentiation (compare crypto.rsa_verify_ns ~ microseconds).
   crypto::VerifyBatch batch;
+  double batch_lookup_ns = 0;
   {
     crypto::VerifyBatchScope scope(batch);
     for (std::uint64_t k = 0; k < 64; ++k) {
       batch.record(k * 0x9E3779B97F4A7C15ULL, true);
     }
-    const std::size_t lookup_rounds = quick ? 200'000 : 2'000'000;
-    start = WallClock::now();
-    checksum = 0;
-    for (std::size_t i = 0; i < lookup_rounds; ++i) {
-      checksum += batch.lookup((i % 64) * 0x9E3779B97F4A7C15ULL).value_or(false);
-    }
-    sink(checksum);
+    batch_lookup_ns =
+        fastest_ns_per_op(quick ? 40'000 : 400'000, [&](std::size_t i) {
+          return batch.lookup((i % 64) * 0x9E3779B97F4A7C15ULL)
+              .value_or(false);
+        });
   }
-  const double batch_lookup_ns =
-      seconds_since(start) * 1e9 / static_cast<double>(quick ? 200'000 : 2'000'000);
 
   // Exact dedupe counts on a fixed churn-style workload with the verdict
   // cache off: every skipped verification here is the within-resolution
@@ -305,41 +301,27 @@ int main(int argc, char** argv) {
 
   // --- RSA unit costs on 256-bit keys (DESIGN.md §4l) --------------------
   // What signing on line, validating and building a world cost per call.
-  crypto::SplitMix64 key_rng(0x525341);
-  const std::size_t keygen_rounds = quick ? 20 : 200;
-  start = WallClock::now();
-  checksum = 0;
-  for (std::size_t i = 0; i < keygen_rounds; ++i) {
-    checksum += crypto::generate_rsa_keypair(256, key_rng)
-                    .public_key.modulus()
-                    .low_u64();
-  }
-  const double keygen_ns = seconds_since(start) * 1e9 /
-                           static_cast<double>(keygen_rounds);
-  sink(checksum);
+  // Key i is drawn from a generator seeded by i, so every round searches
+  // the same primes.
+  const double keygen_ns =
+      fastest_ns_per_op(quick ? 4 : 40, [](std::size_t i) {
+        crypto::SplitMix64 key_rng(0x525341 + i);
+        return crypto::generate_rsa_keypair(256, key_rng)
+            .public_key.modulus()
+            .low_u64();
+      });
 
+  crypto::SplitMix64 key_rng(0x4B4559);
   const crypto::RsaKeyPair keys = crypto::generate_rsa_keypair(256, key_rng);
   const crypto::Bytes digest = crypto::Sha256::digest("bench_perf_suite");
-  const std::size_t rsa_rounds = quick ? 2'000 : 20'000;
-  crypto::Bytes signature;
-  start = WallClock::now();
-  checksum = 0;
-  for (std::size_t i = 0; i < rsa_rounds; ++i) {
-    signature = keys.private_key.sign_digest(digest);
-    checksum += signature.back();
-  }
-  const double rsa_sign_ns =
-      seconds_since(start) * 1e9 / static_cast<double>(rsa_rounds);
-  sink(checksum);
-
-  start = WallClock::now();
-  checksum = 0;
-  for (std::size_t i = 0; i < rsa_rounds; ++i) {
-    checksum += keys.public_key.verify_digest(digest, signature);
-  }
-  const double rsa_verify_ns =
-      seconds_since(start) * 1e9 / static_cast<double>(rsa_rounds);
-  sink(checksum);
+  const crypto::Bytes signature = keys.private_key.sign_digest(digest);
+  const std::size_t rsa_ops = quick ? 400 : 4'000;
+  const double rsa_sign_ns = fastest_ns_per_op(rsa_ops, [&](std::size_t) {
+    return keys.private_key.sign_digest(digest).back();
+  });
+  const double rsa_verify_ns = fastest_ns_per_op(rsa_ops, [&](std::size_t) {
+    return keys.public_key.verify_digest(digest, signature);
+  });
 
   crypto::Bytes dividend(64);
   crypto::Bytes divisor(32);
@@ -348,18 +330,31 @@ int main(int argc, char** argv) {
   divisor[0] |= 0x80;
   const crypto::BigUint wide = crypto::BigUint::from_bytes_be(dividend);
   const crypto::BigUint narrow = crypto::BigUint::from_bytes_be(divisor);
-  const std::size_t divmod_rounds = quick ? 100'000 : 1'000'000;
   crypto::BigUint quotient;
   crypto::BigUint remainder;
-  start = WallClock::now();
-  checksum = 0;
-  for (std::size_t i = 0; i < divmod_rounds; ++i) {
-    crypto::BigUint::divmod(wide, narrow, quotient, remainder);
-    checksum += remainder.low_u64();
-  }
   const double divmod_ns =
-      seconds_since(start) * 1e9 / static_cast<double>(divmod_rounds);
-  sink(checksum);
+      fastest_ns_per_op(quick ? 20'000 : 200'000, [&](std::size_t) {
+        crypto::BigUint::divmod(wide, narrow, quotient, remainder);
+        return remainder.low_u64();
+      });
+
+  // --- SHA kernels (DESIGN.md §4l) ----------------------------------------
+  // SHA-1 as NSEC3 pays it: per call inside a 100-iteration owner hash.
+  const dns::Name nsec3_name = dns::Name::parse("example.dlv.isc.org");
+  const crypto::Bytes nsec3_salt = {0xaa, 0xbb, 0xcc, 0xdd};
+  constexpr std::uint16_t kNsec3Iterations = 100;
+  const double sha1_ns =
+      fastest_ns_per_op(quick ? 200 : 2'000,
+                        [&](std::size_t) {
+                          return zone::nsec3_hash(nsec3_name, nsec3_salt,
+                                                  kNsec3Iterations)[0];
+                        }) /
+      static_cast<double>(zone::nsec3_hash_ops(kNsec3Iterations));
+  const crypto::Bytes kibibyte(1024, 0xAB);
+  const double sha256_1kib_ns =
+      fastest_ns_per_op(quick ? 2'000 : 20'000, [&](std::size_t) {
+        return crypto::Sha256::digest(kibibyte)[0];
+      });
 
   // --- end-to-end resolution throughput, single vs. sharded --------------
   const std::size_t cells = quick ? 4 : 8;
@@ -386,6 +381,8 @@ int main(int argc, char** argv) {
   table.row().cell("RSA-256 verify (ns)").cell(fixed(rsa_verify_ns, 0));
   table.row().cell("RSA-256 keygen (ns)").cell(fixed(keygen_ns, 0));
   table.row().cell("divmod 512/256 bits (ns)").cell(fixed(divmod_ns, 1));
+  table.row().cell("SHA-1 in NSEC3 hash (ns)").cell(fixed(sha1_ns, 1));
+  table.row().cell("SHA-256 of 1 KiB (ns)").cell(fixed(sha256_1kib_ns, 0));
   table.row()
       .cell("resolutions/sec (1 thread)")
       .cell(fixed(single.rate, 0));
@@ -430,7 +427,9 @@ int main(int argc, char** argv) {
       "  \"crypto\": {\"rsa_sign_ns\": " + fixed(rsa_sign_ns, 1) +
       ", \"rsa_verify_ns\": " + fixed(rsa_verify_ns, 1) +
       ", \"keygen_ns\": " + fixed(keygen_ns, 0) +
-      ", \"divmod_ns\": " + fixed(divmod_ns, 2) + "}\n" +
+      ", \"divmod_ns\": " + fixed(divmod_ns, 2) +
+      ", \"sha1_ns\": " + fixed(sha1_ns, 2) +
+      ", \"sha256_1kib_ns\": " + fixed(sha256_1kib_ns, 1) + "}\n" +
       "}\n";
   std::ofstream out(out_path);
   out << json;

@@ -1,104 +1,108 @@
 #include "crypto/sha1.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 namespace lookaside::crypto {
 
 namespace {
-inline std::uint32_t rotl(std::uint32_t x, int n) {
-  return (x << n) | (x >> (32 - n));
+
+// The round group's boolean function plus its constant.
+template <int I>
+inline std::uint32_t mix(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  if constexpr (I < 20) {
+    return (d ^ (b & (c ^ d))) + 0x5a827999;  // choose
+  } else if constexpr (I < 40) {
+    return (b ^ c ^ d) + 0x6ed9eba1;  // parity
+  } else if constexpr (I < 60) {
+    return ((b & c) | (d & (b | c))) + 0x8f1bbcdc;  // majority
+  } else {
+    return (b ^ c ^ d) + 0xca62c1d6;  // parity
+  }
 }
+
+// One of the 80 rounds, unrolled at compile time. The caller passes the
+// working variables already renamed into (a, b, c, d, e) order: the round
+// adds into e and rotates b, so no register is shuffled between rounds.
+// From round 16 on the message word is expanded in place in a rolling
+// 16-word window.
+template <int I>
+inline void round(std::uint32_t a, std::uint32_t& b, std::uint32_t c,
+                  std::uint32_t d, std::uint32_t& e, std::uint32_t* w) {
+  if constexpr (I >= 16) {
+    w[I % 16] = std::rotl(
+        w[(I - 3) % 16] ^ w[(I - 8) % 16] ^ w[(I - 14) % 16] ^ w[I % 16], 1);
+  }
+  e += std::rotl(a, 5) + mix<I>(b, c, d) + w[I % 16];
+  b = std::rotl(b, 30);
+}
+
+template <int I>
+inline void five_rounds(std::uint32_t* v, std::uint32_t* w) {
+  std::uint32_t &a = v[0], &b = v[1], &c = v[2], &d = v[3], &e = v[4];
+  round<I>(a, b, c, d, e, w);
+  round<I + 1>(e, a, b, c, d, w);
+  round<I + 2>(d, e, a, b, c, w);
+  round<I + 3>(c, d, e, a, b, w);
+  round<I + 4>(b, c, d, e, a, w);
+}
+
+template <std::size_t... Group>
+inline void all_rounds(std::uint32_t* v, std::uint32_t* w,
+                       std::index_sequence<Group...>) {
+  (five_rounds<static_cast<int>(Group) * 5>(v, w), ...);
+}
+
 }  // namespace
 
-Sha1::Sha1()
-    : state_{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0},
-      buffer_{} {}
-
-void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[i * 4]) << 24 |
-           static_cast<std::uint32_t>(block[i * 4 + 1]) << 16 |
-           static_cast<std::uint32_t>(block[i * 4 + 2]) << 8 |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-                e = state_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f;
-    std::uint32_t k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5a827999;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ed9eba1;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8f1bbcdc;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xca62c1d6;
-    }
-    const std::uint32_t temp = rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = temp;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
+void Sha1::compress(std::uint32_t* state, const std::uint8_t* block) {
+  std::uint32_t w[16] = {};
+  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
+  std::uint32_t v[5] = {};
+  std::memcpy(v, state, sizeof v);
+  all_rounds(v, w, std::make_index_sequence<16>{});
+  for (int i = 0; i < 5; ++i) state[i] += v[i];
 }
 
 void Sha1::update(const std::uint8_t* data, std::size_t len) {
   total_bytes_ += len;
   while (len > 0) {
-    if (buffered_ == 0 && len >= 64) {
-      process_block(data);
-      data += 64;
-      len -= 64;
+    if (buffered_ == 0 && len >= kBlockSize) {
+      compress(state_.data(), data);
+      data += kBlockSize;
+      len -= kBlockSize;
       continue;
     }
-    const std::size_t take = std::min<std::size_t>(64 - buffered_, len);
+    const std::size_t take = std::min(kBlockSize - buffered_, len);
     std::memcpy(buffer_.data() + buffered_, data, take);
     buffered_ += take;
     data += take;
     len -= take;
-    if (buffered_ == 64) {
-      process_block(buffer_.data());
+    if (buffered_ == kBlockSize) {
+      compress(state_.data(), buffer_.data());
       buffered_ = 0;
     }
   }
 }
 
 Bytes Sha1::finish() {
-  const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(&zero, 1);
-  std::uint8_t length_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    length_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  // 0x80, zeros, then the 64-bit bit length in the last 8 bytes of a block;
+  // a tail past byte 55 leaves no room for the length and takes a block of
+  // its own.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffered_, 0, kBlockSize - buffered_);
+    compress(state_.data(), buffer_.data());
+    buffered_ = 0;
   }
-  update(length_bytes, 8);
+  std::memset(buffer_.data() + buffered_, 0, kBlockSize - 8 - buffered_);
+  store_be64(buffer_.data() + kBlockSize - 8, total_bytes_ * 8);
+  compress(state_.data(), buffer_.data());
 
   Bytes digest(kDigestSize);
-  for (int i = 0; i < 5; ++i) {
-    digest[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    digest[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    digest[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    digest[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+  for (int i = 0; i < 5; ++i) store_be32(digest.data() + 4 * i, state_[i]);
   return digest;
 }
 

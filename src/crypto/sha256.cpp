@@ -1,6 +1,9 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 namespace lookaside::crypto {
 
@@ -19,104 +22,98 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
-inline std::uint32_t rotr(std::uint32_t x, int n) {
-  return (x >> n) | (x << (32 - n));
+// One of the 64 rounds, unrolled at compile time. The caller passes the
+// working variables already renamed into (a..h) order: the round adds T1
+// into d and writes T1 + T2 into h, so no register is shuffled between
+// rounds. From round 16 on the message word is expanded in place in a
+// rolling 16-word window.
+template <int I>
+inline void round(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                  std::uint32_t& d, std::uint32_t e, std::uint32_t f,
+                  std::uint32_t g, std::uint32_t& h, std::uint32_t* w) {
+  if constexpr (I >= 16) {
+    const std::uint32_t w15 = w[(I - 15) % 16];
+    const std::uint32_t w2 = w[(I - 2) % 16];
+    w[I % 16] += (std::rotr(w15, 7) ^ std::rotr(w15, 18) ^ (w15 >> 3)) +
+                 w[(I - 7) % 16] +
+                 (std::rotr(w2, 17) ^ std::rotr(w2, 19) ^ (w2 >> 10));
+  }
+  const std::uint32_t t1 =
+      h + (std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25)) +
+      (g ^ (e & (f ^ g))) + kRoundConstants[I] + w[I % 16];
+  d += t1;
+  h = t1 + (std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22)) +
+      ((a & b) | (c & (a | b)));
+}
+
+template <int I>
+inline void eight_rounds(std::uint32_t* v, std::uint32_t* w) {
+  std::uint32_t &a = v[0], &b = v[1], &c = v[2], &d = v[3];
+  std::uint32_t &e = v[4], &f = v[5], &g = v[6], &h = v[7];
+  round<I>(a, b, c, d, e, f, g, h, w);
+  round<I + 1>(h, a, b, c, d, e, f, g, w);
+  round<I + 2>(g, h, a, b, c, d, e, f, w);
+  round<I + 3>(f, g, h, a, b, c, d, e, w);
+  round<I + 4>(e, f, g, h, a, b, c, d, w);
+  round<I + 5>(d, e, f, g, h, a, b, c, w);
+  round<I + 6>(c, d, e, f, g, h, a, b, w);
+  round<I + 7>(b, c, d, e, f, g, h, a, w);
+}
+
+template <std::size_t... Group>
+inline void all_rounds(std::uint32_t* v, std::uint32_t* w,
+                       std::index_sequence<Group...>) {
+  (eight_rounds<static_cast<int>(Group) * 8>(v, w), ...);
 }
 
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
-      buffer_{} {}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[i * 4]) << 24 |
-           static_cast<std::uint32_t>(block[i * 4 + 1]) << 16 |
-           static_cast<std::uint32_t>(block[i * 4 + 2]) << 8 |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::compress(std::uint32_t* state, const std::uint8_t* block) {
+  std::uint32_t w[16] = {};
+  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
+  std::uint32_t v[8] = {};
+  std::memcpy(v, state, sizeof v);
+  all_rounds(v, w, std::make_index_sequence<8>{});
+  for (int i = 0; i < 8; ++i) state[i] += v[i];
 }
 
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
   total_bytes_ += len;
   while (len > 0) {
-    if (buffered_ == 0 && len >= 64) {
-      process_block(data);
-      data += 64;
-      len -= 64;
+    if (buffered_ == 0 && len >= kBlockSize) {
+      compress(state_.data(), data);
+      data += kBlockSize;
+      len -= kBlockSize;
       continue;
     }
-    const std::size_t take = std::min<std::size_t>(64 - buffered_, len);
+    const std::size_t take = std::min(kBlockSize - buffered_, len);
     std::memcpy(buffer_.data() + buffered_, data, take);
     buffered_ += take;
     data += take;
     len -= take;
-    if (buffered_ == 64) {
-      process_block(buffer_.data());
+    if (buffered_ == kBlockSize) {
+      compress(state_.data(), buffer_.data());
       buffered_ = 0;
     }
   }
 }
 
 Bytes Sha256::finish() {
-  const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(&zero, 1);
-  std::uint8_t length_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    length_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  // 0x80, zeros, then the 64-bit bit length in the last 8 bytes of a block;
+  // a tail past byte 55 leaves no room for the length and takes a block of
+  // its own.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffered_, 0, kBlockSize - buffered_);
+    compress(state_.data(), buffer_.data());
+    buffered_ = 0;
   }
-  // The length bytes exactly fill the final block; update() processes it.
-  update(length_bytes, 8);
+  std::memset(buffer_.data() + buffered_, 0, kBlockSize - 8 - buffered_);
+  store_be64(buffer_.data() + kBlockSize - 8, total_bytes_ * 8);
+  compress(state_.data(), buffer_.data());
 
   Bytes digest(kDigestSize);
-  for (int i = 0; i < 8; ++i) {
-    digest[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    digest[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    digest[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    digest[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+  for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state_[i]);
   return digest;
 }
 

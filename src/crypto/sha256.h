@@ -16,8 +16,9 @@ namespace lookaside::crypto {
 class Sha256 {
  public:
   static constexpr std::size_t kDigestSize = 32;
+  static constexpr std::size_t kBlockSize = 64;
 
-  Sha256();
+  Sha256() = default;
 
   /// Absorbs `len` bytes at `data`. May be called repeatedly.
   void update(const std::uint8_t* data, std::size_t len);
@@ -35,10 +36,16 @@ class Sha256 {
   [[nodiscard]] static Bytes digest(std::string_view text);
 
  private:
-  void process_block(const std::uint8_t* block);
+  static constexpr std::array<std::uint32_t, 8> kInitialState = {
+      0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
-  std::array<std::uint32_t, 8> state_;
-  std::array<std::uint8_t, 64> buffer_;
+  /// The compression function: folds one 64-byte block into `state`
+  /// (eight words).
+  static void compress(std::uint32_t* state, const std::uint8_t* block);
+
+  std::array<std::uint32_t, 8> state_ = kInitialState;
+  std::array<std::uint8_t, kBlockSize> buffer_{};
   std::size_t buffered_ = 0;
   std::uint64_t total_bytes_ = 0;
 };

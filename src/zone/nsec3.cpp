@@ -1,5 +1,7 @@
 #include "zone/nsec3.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "crypto/sha1.h"
@@ -7,6 +9,14 @@
 namespace lookaside::zone {
 
 namespace {
+
+// RFC 5155 §3.1: the salt length is one octet. digest || salt plus padding
+// then spans at most five SHA-1 blocks.
+constexpr std::size_t kMaxSaltLength = 255;
+constexpr std::size_t kMaxBlocks =
+    (crypto::Sha1::kDigestSize + kMaxSaltLength + 8) /
+        crypto::Sha1::kBlockSize +
+    1;
 
 constexpr char kBase32HexAlphabet[] = "0123456789abcdefghijklmnopqrstuv";
 
@@ -21,17 +31,37 @@ constexpr char kBase32HexAlphabet[] = "0123456789abcdefghijklmnopqrstuv";
 
 crypto::Bytes nsec3_hash(const dns::Name& name, const crypto::Bytes& salt,
                          std::uint16_t iterations) {
+  using crypto::Sha1;
+  if (salt.size() > kMaxSaltLength) {
+    throw std::invalid_argument("NSEC3 salt longer than 255 octets");
+  }
   // Name::to_wire() is already canonical: labels are lowercased on parse.
-  crypto::Sha1 first;
+  Sha1 first;
   first.update(name.to_wire());
   first.update(salt);
   crypto::Bytes digest = first.finish();
+
+  // Every further round hashes digest || salt, a message of fixed length,
+  // so its padded form (0x80, zeros, 64-bit bit length) is laid out once
+  // and each round only rewrites the 20 digest bytes at the front.
+  const std::size_t length = Sha1::kDigestSize + salt.size();
+  const std::size_t blocks = (length + 8) / Sha1::kBlockSize + 1;
+  std::array<std::uint8_t, kMaxBlocks * Sha1::kBlockSize> message{};
+  std::copy(digest.begin(), digest.end(), message.begin());
+  std::copy(salt.begin(), salt.end(), message.begin() + Sha1::kDigestSize);
+  message[length] = 0x80;
+  crypto::store_be64(message.data() + blocks * Sha1::kBlockSize - 8,
+                     static_cast<std::uint64_t>(length) * 8);
   for (std::uint16_t k = 0; k < iterations; ++k) {
-    crypto::Sha1 round;
-    round.update(digest);
-    round.update(salt);
-    digest = round.finish();
+    std::array<std::uint32_t, 5> state = Sha1::kInitialState;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      Sha1::compress(state.data(), message.data() + b * Sha1::kBlockSize);
+    }
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      crypto::store_be32(message.data() + 4 * i, state[i]);
+    }
   }
+  std::copy_n(message.begin(), Sha1::kDigestSize, digest.begin());
   return digest;
 }
 

@@ -24,7 +24,10 @@ namespace lookaside::zone {
 }
 
 /// RFC 5155 §5 iterated hash of `name` (canonical wire form). Returns the raw
-/// 20-byte SHA-1 digest.
+/// 20-byte SHA-1 digest. The iterations run on one stack buffer holding the
+/// padded digest || salt message and allocate nothing. Throws
+/// std::invalid_argument for a salt over 255 octets, which no NSEC3 or
+/// NSEC3PARAM record can carry (RFC 5155 §3.1).
 [[nodiscard]] crypto::Bytes nsec3_hash(const dns::Name& name,
                                        const crypto::Bytes& salt,
                                        std::uint16_t iterations);

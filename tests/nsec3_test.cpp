@@ -63,6 +63,61 @@ TEST(Nsec3HashTest, MaxCapIterationsTerminatesAndDiffers) {
   EXPECT_EQ(zone::nsec3_hash_ops(65535), 65536u);
 }
 
+/// RFC 5155 §5 written out with a fresh streaming Sha1 per round, the way
+/// the spec reads: the oracle for the precomputed-buffer iteration loop.
+crypto::Bytes naive_nsec3_hash(const dns::Name& name,
+                               const crypto::Bytes& salt,
+                               std::uint16_t iterations) {
+  crypto::Sha1 first;
+  first.update(name.to_wire());
+  first.update(salt);
+  crypto::Bytes digest = first.finish();
+  for (std::uint16_t k = 0; k < iterations; ++k) {
+    crypto::Sha1 round;
+    round.update(digest);
+    round.update(salt);
+    digest = round.finish();
+  }
+  return digest;
+}
+
+TEST(Nsec3HashTest, EverySaltLengthMatchesStreamingReference) {
+  // digest || salt is one padded block up to a 35-byte salt, two from 36,
+  // and five at the 255-byte maximum. Literals at 100 iterations are from
+  // Python's hashlib over the same message.
+  struct Case {
+    std::size_t salt_length;
+    const char* at_100;
+  };
+  constexpr Case kCases[] = {
+      {0, "f62257d5d18c1b145d9f3289e261c294a2c9fb51"},
+      {35, "1e5e1616fcac8af671dd5eff285bffacabc53fb2"},
+      {36, "1fb9636bd2e9292dd78f75bca1db5595b41a49ca"},
+      {64, "269f1e5b5636f34d1176805409fe331a7c5a6a95"},
+      {255, "a6d21679702f9a87ef1d79df82f342e712577362"},
+  };
+  const dns::Name name = dns::Name::parse("a.example.org");
+  for (const Case& c : kCases) {
+    crypto::Bytes salt(c.salt_length);
+    for (std::size_t i = 0; i < salt.size(); ++i) {
+      salt[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    }
+    for (const std::uint16_t iterations : {0, 1, 100}) {
+      EXPECT_EQ(zone::nsec3_hash(name, salt, iterations),
+                naive_nsec3_hash(name, salt, iterations))
+          << "salt=" << c.salt_length << " iterations=" << iterations;
+    }
+    EXPECT_EQ(crypto::to_hex(zone::nsec3_hash(name, salt, 100)), c.at_100)
+        << "salt=" << c.salt_length;
+  }
+}
+
+TEST(Nsec3HashTest, SaltLongerThanTheWireFieldIsRejected) {
+  const dns::Name name = dns::Name::parse("example.org");
+  EXPECT_THROW((void)zone::nsec3_hash(name, crypto::Bytes(256, 0x5a), 1),
+               std::invalid_argument);
+}
+
 TEST(Nsec3HashTest, HashIsCaseInsensitive) {
   EXPECT_EQ(zone::nsec3_hash(dns::Name::parse("ExAmPlE.OrG"), kRfcSalt, 5),
             zone::nsec3_hash(dns::Name::parse("example.org"), kRfcSalt, 5));
