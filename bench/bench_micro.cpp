@@ -132,6 +132,15 @@ void BM_MessageEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageEncode);
 
+void BM_MessageWireSize(benchmark::State& state) {
+  // The size-only encoder the network prices every packet with.
+  const dns::Message message = sample_response();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::wire_size(message));
+  }
+}
+BENCHMARK(BM_MessageWireSize);
+
 void BM_MessageDecode(benchmark::State& state) {
   const dns::Bytes wire = dns::encode_message(sample_response());
   for (auto _ : state) {

@@ -30,7 +30,9 @@ zone::Zone make_empty_zone(const DlvRegistry::Options& options) {
 
 }  // namespace
 
-DlvRegistry::DlvRegistry(Options options) : options_(std::move(options)) {
+DlvRegistry::DlvRegistry(Options options)
+    : options_(std::move(options)),
+      id_("dlv:" + options_.apex.internal_text()) {
   crypto::SplitMix64 rng(options_.seed);
   keys_ = zone::ZoneKeys::generate(options_.key_bits, rng);
   rebuild_zone();
@@ -83,10 +85,6 @@ void DlvRegistry::remove_all_records() {
 
 const dns::DnskeyRdata& DlvRegistry::trust_anchor() const {
   return keys_->ksk_record();
-}
-
-std::string DlvRegistry::endpoint_id() const {
-  return "dlv:" + options_.apex.internal_text();
 }
 
 dns::Message DlvRegistry::handle_query(const dns::Message& query) {

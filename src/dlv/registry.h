@@ -98,7 +98,9 @@ class DlvRegistry : public sim::Endpoint {
 
   // -- sim::Endpoint --------------------------------------------------------
 
-  [[nodiscard]] std::string endpoint_id() const override;
+  [[nodiscard]] const std::string& endpoint_id() const override {
+    return id_;
+  }
   [[nodiscard]] dns::Message handle_query(const dns::Message& query) override;
 
   // -- Adversary's view -----------------------------------------------------
@@ -134,6 +136,7 @@ class DlvRegistry : public sim::Endpoint {
   void rebuild_zone();
 
   Options options_;
+  std::string id_;  // "dlv:<apex>"
   std::optional<zone::ZoneKeys> keys_;  // survives remove_all_records()
   std::shared_ptr<zone::SignedZone> zone_;
   std::unique_ptr<server::ZoneAuthority> authority_;

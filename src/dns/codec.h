@@ -19,7 +19,8 @@ namespace lookaside::dns {
 /// (truncation, pointer loops, bad bitmaps, unknown RR types).
 [[nodiscard]] Message decode_message(const Bytes& wire);
 
-/// Encoded size in octets without materializing a copy for the caller.
+/// Encoded size in octets, counted by the same encoder (compression
+/// included) without materializing any bytes.
 [[nodiscard]] std::size_t wire_size(const Message& message);
 
 }  // namespace lookaside::dns

@@ -21,27 +21,31 @@ void validate_label(std::string_view label) {
 }  // namespace
 
 Name Name::parse(std::string_view text) {
-  if (!text.empty() && text.back() == '.') text.remove_suffix(1);
+  return from_text(std::string(text));
+}
+
+Name Name::from_text(std::string text) {
+  if (!text.empty() && text.back() == '.') text.pop_back();
   Name out;
   if (text.empty()) return out;  // root
-  out.label_starts_.push_back(0);
+  std::size_t labels = 0;
   std::size_t label_start = 0;
   for (std::size_t i = 0; i <= text.size(); ++i) {
     if (i == text.size() || text[i] == '.') {
-      validate_label(text.substr(label_start, i - label_start));
-      if (i != text.size()) {
-        out.label_starts_.push_back(static_cast<std::uint16_t>(i + 1));
-        label_start = i + 1;
-      }
+      validate_label(std::string_view(text).substr(label_start, i - label_start));
+      ++labels;
+      label_start = i + 1;
     }
   }
-  // One allocation + in-place transform; dots survive lower() unchanged.
-  out.text_.assign(text);
+  // In-place transform of the owned text; dots survive lower() unchanged.
+  out.text_ = std::move(text);
   for (char& c : out.text_) c = lower(c);
   out.hash_ = hash_text(out.text_);
   if (out.wire_length() > 255) {
     throw std::invalid_argument("DNS name > 255 octets");
   }
+  // 255 wire octets hold at most 127 labels, so the count fits a byte.
+  out.label_count_ = static_cast<std::uint8_t>(labels);
   return out;
 }
 
@@ -59,41 +63,44 @@ std::size_t Name::hash_text(std::string_view text) {
 }
 
 std::string_view Name::label(std::size_t i) const {
-  const std::size_t start = label_starts_[i];
-  const std::size_t end =
-      i + 1 < label_starts_.size() ? label_starts_[i + 1] - 1 : text_.size();
-  return std::string_view(text_).substr(start, end - start);
+  const std::string_view text = text_;
+  std::size_t start = 0;
+  for (; i > 0; --i) start = text.find('.', start) + 1;
+  const std::size_t end = text.find('.', start);
+  return text.substr(start, end == std::string_view::npos ? end : end - start);
 }
 
 Name Name::parent() const {
   if (is_root()) throw std::logic_error("root name has no parent");
   if (label_count() == 1) return root();
   Name out;
-  const std::size_t cut = label_starts_[1];
-  out.text_ = text_.substr(cut);
+  out.text_ = text_.substr(text_.find('.') + 1);
   out.hash_ = hash_text(out.text_);
-  out.label_starts_.reserve(label_starts_.size() - 1);
-  for (std::size_t i = 1; i < label_starts_.size(); ++i) {
-    out.label_starts_.push_back(
-        static_cast<std::uint16_t>(label_starts_[i] - cut));
-  }
+  out.label_count_ = static_cast<std::uint8_t>(label_count_ - 1);
   return out;
 }
 
 Name Name::with_prefix_label(std::string_view label) const {
   validate_label(label);
-  std::string text(label);
+  std::string text;
+  text.reserve(label.size() + 1 + text_.size());
+  text += label;
   if (!is_root()) {
     text.push_back('.');
     text += text_;
   }
-  return parse(text);
+  return from_text(std::move(text));
 }
 
 Name Name::concat(const Name& suffix) const {
   if (is_root()) return suffix;
   if (suffix.is_root()) return *this;
-  return parse(text_ + "." + suffix.text_);
+  std::string text;
+  text.reserve(text_.size() + 1 + suffix.text_.size());
+  text += text_;
+  text.push_back('.');
+  text += suffix.text_;
+  return from_text(std::move(text));
 }
 
 bool Name::is_subdomain_of(const Name& ancestor) const {
@@ -112,7 +119,7 @@ Name Name::without_suffix(const Name& ancestor) const {
   }
   if (ancestor.is_root()) return *this;
   if (text_.size() == ancestor.text_.size()) return root();
-  return parse(text_.substr(0, text_.size() - ancestor.text_.size() - 1));
+  return from_text(text_.substr(0, text_.size() - ancestor.text_.size() - 1));
 }
 
 int Name::canonical_compare(const Name& other) const {
@@ -121,16 +128,21 @@ int Name::canonical_compare(const Name& other) const {
   if (hash_ == other.hash_ && text_ == other.text_) return 0;
   // RFC 4034 §6.1: compare label sequences right to left; each label
   // byte-wise (we are already lowercase); absent labels sort first.
-  const std::size_t n1 = label_count();
-  const std::size_t n2 = other.label_count();
-  const std::size_t common = std::min(n1, n2);
-  for (std::size_t i = 1; i <= common; ++i) {
-    const std::string_view l1 = label(n1 - i);
-    const std::string_view l2 = other.label(n2 - i);
-    const int cmp = l1.compare(l2);
+  std::string_view a = text_;
+  std::string_view b = other.text_;
+  while (!a.empty() && !b.empty()) {
+    const std::size_t dot_a = a.rfind('.');
+    const std::size_t dot_b = b.rfind('.');
+    const std::string_view label_a =
+        dot_a == std::string_view::npos ? a : a.substr(dot_a + 1);
+    const std::string_view label_b =
+        dot_b == std::string_view::npos ? b : b.substr(dot_b + 1);
+    const int cmp = label_a.compare(label_b);
     if (cmp != 0) return cmp < 0 ? -1 : 1;
+    a = dot_a == std::string_view::npos ? std::string_view{} : a.substr(0, dot_a);
+    b = dot_b == std::string_view::npos ? std::string_view{} : b.substr(0, dot_b);
   }
-  if (n1 != n2) return n1 < n2 ? -1 : 1;
+  if (a.empty() != b.empty()) return a.empty() ? -1 : 1;
   return 0;
 }
 
@@ -142,10 +154,14 @@ std::string Name::to_text() const {
 Bytes Name::to_wire() const {
   Bytes out;
   out.reserve(wire_length());
-  for (std::size_t i = 0; i < label_count(); ++i) {
-    const std::string_view l = label(i);
-    out.push_back(static_cast<std::uint8_t>(l.size()));
-    out.insert(out.end(), l.begin(), l.end());
+  const std::string_view text = text_;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const std::size_t dot = std::min(text.find('.', start), text.size());
+    out.push_back(static_cast<std::uint8_t>(dot - start));
+    out.insert(out.end(), text.begin() + static_cast<std::ptrdiff_t>(start),
+               text.begin() + static_cast<std::ptrdiff_t>(dot));
+    start = dot + 1;
   }
   out.push_back(0);
   return out;

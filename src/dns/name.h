@@ -3,8 +3,10 @@
 //
 // Names are normalized to lower case at construction (DNS comparison is
 // case-insensitive; 0x20 case randomization is out of scope, see DESIGN.md).
-// Internally a name is one contiguous string plus label offsets, which keeps
-// million-domain simulations allocation-light.
+// Internally a name is one contiguous dotted string plus its label count:
+// labels are found by scanning for dots, so copying a name copies one string
+// (none past the small-string buffer), which keeps million-domain
+// simulations and the per-packet exchange path allocation-light.
 #pragma once
 
 #include <compare>
@@ -12,7 +14,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "crypto/bytes.h"
 
@@ -35,9 +36,10 @@ class Name {
   static Name root() { return Name{}; }
 
   [[nodiscard]] bool is_root() const { return text_.empty(); }
-  [[nodiscard]] std::size_t label_count() const { return label_starts_.size(); }
+  [[nodiscard]] std::size_t label_count() const { return label_count_; }
 
-  /// Label `i` counted from the leftmost (most specific) label.
+  /// Label `i` counted from the leftmost (most specific) label; scans the
+  /// text, so walk a name's labels with a running position, not by index.
   [[nodiscard]] std::string_view label(std::size_t i) const;
 
   /// Name with the leftmost label removed; parent of root throws
@@ -105,9 +107,13 @@ class Name {
 
   [[nodiscard]] static std::size_t hash_text(std::string_view text);
 
-  std::string text_;                         // lowercase, no trailing dot
-  std::vector<std::uint16_t> label_starts_;  // index of each label's start
+  /// parse() on text the name takes ownership of: the one construction
+  /// path, so a derived name costs one string and no second copy.
+  [[nodiscard]] static Name from_text(std::string text);
+
+  std::string text_;  // lowercase, no trailing dot
   std::size_t hash_ = kRootHash;
+  std::uint8_t label_count_ = 0;  // at most 127 labels fit in 255 octets
 };
 
 /// Hash functor so Name can key unordered containers; reuses the memoized

@@ -7,13 +7,10 @@ namespace lookaside::dns {
 namespace {
 
 // Heap bytes one canonical Name pins beyond its own object: text storage
-// past the SSO buffer plus the label-offset vector.
+// past the SSO buffer.
 std::uint64_t name_heap_bytes(const Name& name) {
   const std::string& text = name.internal_text();
-  std::uint64_t bytes = 0;
-  if (text.capacity() > sizeof(std::string)) bytes += text.capacity();
-  bytes += name.label_count() * sizeof(std::uint16_t);
-  return bytes;
+  return text.capacity() > sizeof(std::string) ? text.capacity() : 0;
 }
 
 }  // namespace

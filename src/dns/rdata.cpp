@@ -8,33 +8,45 @@ namespace lookaside::dns {
 
 namespace {
 
-void encode_name(const Name& name, ByteWriter& writer) {
-  writer.raw(name.to_wire());
+/// Writes `name` uncompressed (RDATA names are never compressed).
+template <typename Sink>
+void encode_name(const Name& name, Sink& sink) {
+  std::string_view rest = name.internal_text();
+  while (!rest.empty()) {
+    const std::size_t dot = std::min(rest.find('.'), rest.size());
+    encode_label(rest.substr(0, dot), sink);
+    rest.remove_prefix(std::min(dot + 1, rest.size()));
+  }
+  sink.u8(0);
 }
 
-/// Encodes the RFC 4034 §4.1.2 type bitmap for NSEC records.
-void encode_type_bitmap(const std::vector<RRType>& types, ByteWriter& writer) {
-  std::vector<std::uint16_t> values;
-  values.reserve(types.size());
-  for (RRType t : types) values.push_back(static_cast<std::uint16_t>(t));
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-
-  std::size_t i = 0;
-  while (i < values.size()) {
-    const std::uint8_t window = static_cast<std::uint8_t>(values[i] >> 8);
+/// Encodes the RFC 4034 §4.1.2 type bitmap for NSEC records: windows in
+/// ascending order, each cut after its last non-zero octet. Duplicate types
+/// set the same bit, so no sorted copy of `types` is needed.
+template <typename Sink>
+void encode_type_bitmap(const std::vector<RRType>& types, Sink& sink) {
+  int previous_window = -1;
+  for (;;) {
+    int window = 256;
+    for (RRType t : types) {
+      const int w = static_cast<std::uint16_t>(t) >> 8;
+      if (w > previous_window && w < window) window = w;
+    }
+    if (window == 256) return;
     std::array<std::uint8_t, 32> bitmap{};
     std::size_t max_byte = 0;
-    while (i < values.size() && (values[i] >> 8) == window) {
-      const std::uint8_t low = static_cast<std::uint8_t>(values[i]);
+    for (RRType t : types) {
+      const auto value = static_cast<std::uint16_t>(t);
+      if ((value >> 8) != window) continue;
+      const std::uint8_t low = static_cast<std::uint8_t>(value);
       const std::size_t byte_index = low / 8;
       bitmap[byte_index] |= static_cast<std::uint8_t>(0x80 >> (low % 8));
       max_byte = std::max(max_byte, byte_index);
-      ++i;
     }
-    writer.u8(window);
-    writer.u8(static_cast<std::uint8_t>(max_byte + 1));
-    writer.raw(bitmap.data(), max_byte + 1);
+    sink.u8(static_cast<std::uint8_t>(window));
+    sink.u8(static_cast<std::uint8_t>(max_byte + 1));
+    sink.raw(bitmap.data(), max_byte + 1);
+    previous_window = window;
   }
 }
 
@@ -113,82 +125,83 @@ RRType rdata_type(const Rdata& rdata) {
       rdata);
 }
 
-void encode_rdata(const Rdata& rdata, ByteWriter& writer) {
+template <typename Sink>
+void encode_rdata(const Rdata& rdata, Sink& sink) {
   std::visit(
-      [&writer](const auto& value) {
+      [&sink](const auto& value) {
         using T = std::decay_t<decltype(value)>;
         if constexpr (std::is_same_v<T, ARdata>) {
-          writer.u32(value.address);
+          sink.u32(value.address);
         } else if constexpr (std::is_same_v<T, AaaaRdata>) {
-          writer.raw(value.address.data(), value.address.size());
+          sink.raw(value.address.data(), value.address.size());
         } else if constexpr (std::is_same_v<T, NsRdata>) {
-          encode_name(value.nameserver, writer);
+          encode_name(value.nameserver, sink);
         } else if constexpr (std::is_same_v<T, CnameRdata>) {
-          encode_name(value.target, writer);
+          encode_name(value.target, sink);
         } else if constexpr (std::is_same_v<T, PtrRdata>) {
-          encode_name(value.target, writer);
+          encode_name(value.target, sink);
         } else if constexpr (std::is_same_v<T, MxRdata>) {
-          writer.u16(value.preference);
-          encode_name(value.exchanger, writer);
+          sink.u16(value.preference);
+          encode_name(value.exchanger, sink);
         } else if constexpr (std::is_same_v<T, SoaRdata>) {
-          encode_name(value.primary_ns, writer);
-          encode_name(value.responsible, writer);
-          writer.u32(value.serial);
-          writer.u32(value.refresh);
-          writer.u32(value.retry);
-          writer.u32(value.expire);
-          writer.u32(value.minimum_ttl);
+          encode_name(value.primary_ns, sink);
+          encode_name(value.responsible, sink);
+          sink.u32(value.serial);
+          sink.u32(value.refresh);
+          sink.u32(value.retry);
+          sink.u32(value.expire);
+          sink.u32(value.minimum_ttl);
         } else if constexpr (std::is_same_v<T, TxtRdata>) {
           for (const std::string& s : value.strings) {
             if (s.size() > 255) throw WireFormatError("TXT string too long");
-            writer.u8(static_cast<std::uint8_t>(s.size()));
-            writer.raw(reinterpret_cast<const std::uint8_t*>(s.data()),
+            sink.u8(static_cast<std::uint8_t>(s.size()));
+            sink.raw(reinterpret_cast<const std::uint8_t*>(s.data()),
                        s.size());
           }
         } else if constexpr (std::is_same_v<T, DnskeyRdata>) {
-          writer.u16(value.flags);
-          writer.u8(value.protocol);
-          writer.u8(value.algorithm);
-          writer.raw(value.public_key);
+          sink.u16(value.flags);
+          sink.u8(value.protocol);
+          sink.u8(value.algorithm);
+          sink.raw(value.public_key);
         } else if constexpr (std::is_same_v<T, DsRdata>) {
-          writer.u16(value.key_tag);
-          writer.u8(value.algorithm);
-          writer.u8(value.digest_type);
-          writer.raw(value.digest);
+          sink.u16(value.key_tag);
+          sink.u8(value.algorithm);
+          sink.u8(value.digest_type);
+          sink.raw(value.digest);
         } else if constexpr (std::is_same_v<T, RrsigRdata>) {
-          writer.u16(static_cast<std::uint16_t>(value.type_covered));
-          writer.u8(value.algorithm);
-          writer.u8(value.labels);
-          writer.u32(value.original_ttl);
-          writer.u32(value.expiration);
-          writer.u32(value.inception);
-          writer.u16(value.key_tag);
-          encode_name(value.signer, writer);
-          writer.raw(value.signature);
+          sink.u16(static_cast<std::uint16_t>(value.type_covered));
+          sink.u8(value.algorithm);
+          sink.u8(value.labels);
+          sink.u32(value.original_ttl);
+          sink.u32(value.expiration);
+          sink.u32(value.inception);
+          sink.u16(value.key_tag);
+          encode_name(value.signer, sink);
+          sink.raw(value.signature);
         } else if constexpr (std::is_same_v<T, NsecRdata>) {
-          encode_name(value.next, writer);
-          encode_type_bitmap(value.types, writer);
+          encode_name(value.next, sink);
+          encode_type_bitmap(value.types, sink);
         } else if constexpr (std::is_same_v<T, Nsec3Rdata>) {
           if (value.salt.size() > 255)
             throw WireFormatError("NSEC3 salt too long");
           if (value.next_hashed.size() > 255)
             throw WireFormatError("NSEC3 hash too long");
-          writer.u8(value.hash_algorithm);
-          writer.u8(value.flags);
-          writer.u16(value.iterations);
-          writer.u8(static_cast<std::uint8_t>(value.salt.size()));
-          writer.raw(value.salt);
-          writer.u8(static_cast<std::uint8_t>(value.next_hashed.size()));
-          writer.raw(value.next_hashed);
-          encode_type_bitmap(value.types, writer);
+          sink.u8(value.hash_algorithm);
+          sink.u8(value.flags);
+          sink.u16(value.iterations);
+          sink.u8(static_cast<std::uint8_t>(value.salt.size()));
+          sink.raw(value.salt);
+          sink.u8(static_cast<std::uint8_t>(value.next_hashed.size()));
+          sink.raw(value.next_hashed);
+          encode_type_bitmap(value.types, sink);
         } else if constexpr (std::is_same_v<T, Nsec3ParamRdata>) {
           if (value.salt.size() > 255)
             throw WireFormatError("NSEC3PARAM salt too long");
-          writer.u8(value.hash_algorithm);
-          writer.u8(value.flags);
-          writer.u16(value.iterations);
-          writer.u8(static_cast<std::uint8_t>(value.salt.size()));
-          writer.raw(value.salt);
+          sink.u8(value.hash_algorithm);
+          sink.u8(value.flags);
+          sink.u16(value.iterations);
+          sink.u8(static_cast<std::uint8_t>(value.salt.size()));
+          sink.raw(value.salt);
         } else if constexpr (std::is_same_v<T, OptRdata>) {
           // OPT carries its fields in CLASS/TTL; RDATA itself is empty here.
         }
@@ -196,10 +209,13 @@ void encode_rdata(const Rdata& rdata, ByteWriter& writer) {
       rdata);
 }
 
+template void encode_rdata(const Rdata&, ByteWriter&);
+template void encode_rdata(const Rdata&, SizeCounter&);
+
 std::size_t rdata_wire_length(const Rdata& rdata) {
-  ByteWriter writer;
-  encode_rdata(rdata, writer);
-  return writer.size();
+  SizeCounter counter;
+  encode_rdata(rdata, counter);
+  return counter.size();
 }
 
 Name decode_uncompressed_name(ByteReader& reader) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -180,15 +181,27 @@ using Rdata = std::variant<ARdata, AaaaRdata, NsRdata, CnameRdata, PtrRdata,
 /// kDs; records module overrides to kDlv where needed.
 [[nodiscard]] RRType rdata_type(const Rdata& rdata);
 
-/// Encodes `rdata` (without the RDLENGTH prefix) to `writer`.
-void encode_rdata(const Rdata& rdata, ByteWriter& writer);
+/// Writes one length-prefixed label to `sink` (a ByteWriter or a
+/// SizeCounter).
+template <typename Sink>
+void encode_label(std::string_view label, Sink& sink) {
+  sink.u8(static_cast<std::uint8_t>(label.size()));
+  sink.raw(reinterpret_cast<const std::uint8_t*>(label.data()), label.size());
+}
+
+/// Encodes `rdata` (without the RDLENGTH prefix) to `sink`: a ByteWriter
+/// for the bytes, or a SizeCounter for their count.
+template <typename Sink>
+void encode_rdata(const Rdata& rdata, Sink& sink);
+extern template void encode_rdata(const Rdata&, ByteWriter&);
+extern template void encode_rdata(const Rdata&, SizeCounter&);
 
 /// Decodes RDATA of `type` from exactly `rdlength` bytes of `reader`.
 /// Throws WireFormatError on malformed input.
 [[nodiscard]] Rdata decode_rdata(RRType type, std::size_t rdlength,
                                  ByteReader& reader);
 
-/// Encoded size of `rdata` in octets.
+/// Encoded size of `rdata` in octets, counted without encoding it.
 [[nodiscard]] std::size_t rdata_wire_length(const Rdata& rdata);
 
 /// Reads an uncompressed name from `reader` (helper shared with the codec).

@@ -50,6 +50,11 @@ class RRset {
   [[nodiscard]] const std::vector<ResourceRecord>& records() const {
     return records_;
   }
+  /// Moves the records out, leaving the set empty (for callers that are
+  /// done with the set and only want its records).
+  [[nodiscard]] std::vector<ResourceRecord> take_records() {
+    return std::move(records_);
+  }
   [[nodiscard]] bool empty() const { return records_.empty(); }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   [[nodiscard]] std::uint32_t ttl() const {

@@ -33,6 +33,8 @@ class ByteWriter {
     out_.insert(out_.end(), data, data + len);
   }
 
+  void reserve(std::size_t capacity) { out_.reserve(capacity); }
+
   /// Overwrites a previously written 16-bit field at `offset`.
   void patch_u16(std::size_t offset, std::uint16_t value) {
     out_.at(offset) = static_cast<std::uint8_t>(value >> 8);
@@ -45,6 +47,25 @@ class ByteWriter {
 
  private:
   Bytes out_;
+};
+
+/// The size-only sink: the same interface as ByteWriter, but it only counts
+/// the octets a ByteWriter would append. Encoders templated on their sink
+/// run once as a writer and once as a counter, so a wire size comes from
+/// the same code, compression included, as the bytes it stands for.
+class SizeCounter {
+ public:
+  void u8(std::uint8_t) { size_ += 1; }
+  void u16(std::uint16_t) { size_ += 2; }
+  void u32(std::uint32_t) { size_ += 4; }
+  void raw(const Bytes& data) { size_ += data.size(); }
+  void raw(const std::uint8_t*, std::size_t len) { size_ += len; }
+  void patch_u16(std::size_t, std::uint16_t) {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
 };
 
 /// Reads big-endian integers and raw bytes; throws WireFormatError on

@@ -98,9 +98,10 @@ const char* ResolverCache::section_name(Section section) {
 
 // -- Positive cache ----------------------------------------------------------
 
-void ResolverCache::store(const dns::RRset& rrset, bool validated,
-                          std::vector<dns::ResourceRecord> rrsigs) {
-  if (rrset.empty()) return;
+const dns::RRset* ResolverCache::store(
+    const dns::RRset& rrset, bool validated,
+    std::vector<dns::ResourceRecord> rrsigs) {
+  if (rrset.empty()) return nullptr;
   auto entry = std::make_unique<PositiveEntry>();
   entry->rrset = rrset;
   entry->expires_us = ttl_to_deadline(now(), rrset.ttl());
@@ -108,6 +109,9 @@ void ResolverCache::store(const dns::RRset& rrset, bool validated,
   entry->rrsigs = std::move(rrsigs);
   entry->cost = static_cast<std::uint32_t>(positive_cost(*entry));
   charge(entry->cost);
+  const dns::RRset* stored = &entry->rrset;
+  // `rrset` may be the very entry this store replaces (re-storing a
+  // borrowed hit as validated); it is not read after the swap below.
   PositiveSlots& slots = positive_.get_or_insert(rrset.name());
   if (auto* slot = find_type(&slots, rrset.type())) {
     release(slot->second->cost);
@@ -115,6 +119,7 @@ void ResolverCache::store(const dns::RRset& rrset, bool validated,
   } else {
     slots.emplace_back(rrset.type(), std::move(entry));
   }
+  return stored;
 }
 
 const dns::RRset* ResolverCache::find(const dns::Name& name,

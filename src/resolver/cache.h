@@ -99,8 +99,10 @@ class ResolverCache {
 
   /// Stores an RRset for its TTL. `validated` marks DNSSEC-validated data;
   /// `rrsigs` keeps covering signatures so cached data can be re-validated.
-  void store(const dns::RRset& rrset, bool validated,
-             std::vector<dns::ResourceRecord> rrsigs = {});
+  /// Returns the cached copy (nullptr for an empty set, which is not
+  /// stored); it lives until the entry is replaced or evicted.
+  const dns::RRset* store(const dns::RRset& rrset, bool validated,
+                          std::vector<dns::ResourceRecord> rrsigs = {});
 
   /// Unexpired cached RRset or nullptr. Counts hits/misses.
   [[nodiscard]] const dns::RRset* find(const dns::Name& name,
@@ -250,6 +252,20 @@ class ResolverCache {
   /// cap is set): an amortized sweep step plus second-chance eviction while
   /// over the byte cap. Counts "cache.evicted" (+ per-store breakdowns).
   void maintain();
+
+  /// Runs `probe` (a sequence of lookups) as bookkeeping only: the lookups
+  /// still set second-chance bits and purge expired entries, but count
+  /// nothing, and they skip the shared store, whose statistics belong to
+  /// real lookups. Used to replay a cache hit the caller did not need.
+  template <typename Fn>
+  void quietly(Fn&& probe) {
+    metrics::CounterSet discarded;
+    std::swap(counters_, discarded);
+    SharedProofStore* shared = std::exchange(shared_, nullptr);
+    probe();
+    shared_ = shared;
+    std::swap(counters_, discarded);
+  }
 
   // -- Maintenance ------------------------------------------------------------
 

@@ -33,6 +33,23 @@ double hash_unit_interval(const dns::Name& name) {
 
 }  // namespace
 
+namespace {
+
+/// The "resolve.status.<name>" counter, spelled out so counting a
+/// resolution builds no string.
+const char* status_counter(ValidationStatus status) {
+  switch (status) {
+    case ValidationStatus::kSecure: return "resolve.status.secure";
+    case ValidationStatus::kInsecure: return "resolve.status.insecure";
+    case ValidationStatus::kBogus: return "resolve.status.bogus";
+    case ValidationStatus::kIndeterminate:
+      return "resolve.status.indeterminate";
+  }
+  return "resolve.status.?";
+}
+
+}  // namespace
+
 const char* status_name(ValidationStatus status) {
   switch (status) {
     case ValidationStatus::kSecure: return "secure";
@@ -61,15 +78,15 @@ RecursiveResolver::RecursiveResolver(sim::Network& network,
 
 void RecursiveResolver::trace_event(obs::EventKind kind,
                                     const dns::Name& name, dns::RRType qtype,
-                                    std::string detail,
-                                    std::string server) const {
+                                    std::string_view detail,
+                                    std::string_view server) const {
   if (tracer_ == nullptr) return;
   obs::Event event;
   event.kind = kind;
   event.name = name.to_text();
   event.qtype = qtype;
-  event.detail = std::move(detail);
-  event.server = std::move(server);
+  event.detail = detail;
+  event.server = server;
   tracer_->emit(std::move(event));
 }
 
@@ -105,7 +122,7 @@ void RecursiveResolver::mark_server_dead(const std::string& server_id,
 std::optional<dns::Message> RecursiveResolver::exchange_with_retry(
     sim::Endpoint& server, const dns::Message& query,
     const RetryPolicy& policy) {
-  const std::string server_id = server.endpoint_id();
+  const std::string& server_id = server.endpoint_id();
   if (server_dead(server_id)) {
     stats_.add("servers.skipped_dead");
     return std::nullopt;
@@ -118,8 +135,8 @@ std::optional<dns::Message> RecursiveResolver::exchange_with_retry(
       trace_event(obs::EventKind::kRetry, question.name, question.type,
                   "attempt=" + std::to_string(attempt), server_id);
     }
-    const auto response = network_->exchange(endpoint_id(), server, query,
-                                             policy.rto_for_attempt(attempt));
+    std::optional<dns::Message> response = network_->exchange(
+        endpoint_id(), server, query, policy.rto_for_attempt(attempt));
     if (current_ != nullptr) ++current_->upstream_exchanges;
     if (!response.has_value()) continue;
     // A truncated response is useless over simulated UDP: treat it like a
@@ -137,13 +154,12 @@ std::optional<dns::Message> RecursiveResolver::exchange_with_retry(
 std::optional<dns::Message> RecursiveResolver::exchange_zone(
     const dns::Name& zone_apex, const dns::Message& query,
     const RetryPolicy& policy) {
-  const std::vector<sim::Endpoint*> servers =
-      directory_->authorities_for_zone(zone_apex);
   bool failed_over = false;
-  for (sim::Endpoint* server : servers) {
+  for (sim::Endpoint* server : directory_->authorities_for_zone(zone_apex)) {
     if (server == nullptr) continue;
     if (failed_over) stats_.add("failover.used");
-    const auto response = exchange_with_retry(*server, query, policy);
+    std::optional<dns::Message> response =
+        exchange_with_retry(*server, query, policy);
     if (response.has_value()) return response;
     failed_over = true;
   }
@@ -168,7 +184,7 @@ RecursiveResolver::Fetched RecursiveResolver::fetched_denial(
 }
 
 RecursiveResolver::Fetched RecursiveResolver::fetch_from_cache(
-    const dns::Name& qname, dns::RRType qtype) {
+    const dns::Name& qname, dns::RRType qtype, bool account) {
   Fetched out;
   if (config_.aggressive_synthesis) {
     // RFC 8198 for every query class, not just DLV probes: any cached
@@ -181,9 +197,9 @@ RecursiveResolver::Fetched RecursiveResolver::fetch_from_cache(
                                                         : qname;
     const ProofResult proof = cache_.find_denial(
         cache_.deepest_known_cut(scope_name), qname, qtype, denial_sources());
-    if (proof.hash_ops > 0) charge_nsec3_cost(proof.hash_ops);
+    if (proof.hash_ops > 0 && account) charge_nsec3_cost(proof.hash_ops);
     if (proof) {
-      if (proof.origin != ProofOrigin::kLocal) {
+      if (proof.origin != ProofOrigin::kLocal && account) {
         stats_.add("cache.synth_answer");
       }
       return fetched_denial(proof);
@@ -202,8 +218,8 @@ RecursiveResolver::Fetched RecursiveResolver::fetch_from_cache(
     out.kind = Fetched::Kind::kAnswer;
     out.from_cache = true;
     out.cached_validated = entry->validated;
-    out.answer.rrsets.push_back(*entry->rrset);
-    out.answer.rrsigs = *entry->rrsigs;
+    out.cached_rrset = entry->rrset;
+    out.cached_rrsigs = entry->rrsigs;
     out.auth_zone = cache_.deepest_known_cut(qname);
     return out;
   }
@@ -261,11 +277,12 @@ RecursiveResolver::Fetched RecursiveResolver::fetch(const dns::Name& qname,
     const dns::Message query = dns::Message::make_query(
         next_id_++, send_name, send_type, /*recursion_desired=*/false,
         dnssec_ok);
-    const auto response = exchange_zone(zone_apex, query, config_.retry);
+    std::optional<dns::Message> response =
+        exchange_zone(zone_apex, query, config_.retry);
     if (!response.has_value()) return Fetched{};
 
-    out.answer = group_section(response->answers);
-    out.authority = group_section(response->authorities);
+    out.answer = group_section(std::move(response->answers));
+    out.authority = group_section(std::move(response->authorities));
     out.auth_zone = zone_apex;
     out.z_bit = response->header.z;
 
@@ -337,7 +354,8 @@ RecursiveResolver::Fetched RecursiveResolver::fetch(const dns::Name& qname,
       cache_.store(*referral_ns, /*validated=*/false);
       cache_.store_zone_cut(cut, referral_ns->ttl());
       // Cache any glue that rode along.
-      GroupedSection additional = group_section(response->additionals);
+      const GroupedSection additional =
+          group_section(std::move(response->additionals));
       for (const dns::RRset& glue : additional.rrsets) {
         if (glue.type() == dns::RRType::kA) {
           cache_.store(glue, /*validated=*/false);
@@ -384,10 +402,10 @@ RecursiveResolver::Fetched RecursiveResolver::fetch(const dns::Name& qname,
 
 ValidationStatus RecursiveResolver::validate_zone_keys(
     const dns::Name& zone, const dns::DsRdata* ds,
-    const dns::DnskeyRdata* anchor, int depth, dns::RRset* out_keys) {
+    const dns::DnskeyRdata* anchor, int depth, const dns::RRset** out_keys) {
   if (const dns::RRset* cached =
           cache_.find_validated(zone, dns::RRType::kDnskey)) {
-    *out_keys = *cached;
+    *out_keys = cached;
     return ValidationStatus::kSecure;
   }
   Fetched keys_fetch = fetch(zone, dns::RRType::kDnskey, depth + 1);
@@ -396,7 +414,7 @@ ValidationStatus RecursiveResolver::validate_zone_keys(
     return ValidationStatus::kBogus;
   }
   const dns::RRset* keys = nullptr;
-  for (const dns::RRset& rrset : keys_fetch.answer.rrsets) {
+  for (const dns::RRset& rrset : keys_fetch.answer_rrsets()) {
     if (rrset.type() == dns::RRType::kDnskey && rrset.name() == zone) {
       keys = &rrset;
       break;
@@ -419,18 +437,18 @@ ValidationStatus RecursiveResolver::validate_zone_keys(
   }
   if (!endorsed) return ValidationStatus::kBogus;
 
-  if (validator_.verify_rrset(*keys, keys_fetch.answer.rrsigs, *keys) !=
+  if (validator_.verify_rrset(*keys, keys_fetch.answer_rrsigs(), *keys) !=
       SigCheck::kValid) {
     return ValidationStatus::kBogus;
   }
-  cache_.store(*keys, /*validated=*/true, keys_fetch.answer.rrsigs);
-  *out_keys = *keys;
+  *out_keys =
+      cache_.store(*keys, /*validated=*/true, keys_fetch.answer_rrsigs());
   return ValidationStatus::kSecure;
 }
 
 ValidationStatus RecursiveResolver::validate_descent(
-    const dns::Name& from_zone, dns::RRset trusted, const dns::Name& to_zone,
-    int depth, dns::RRset* out_keys) {
+    const dns::Name& from_zone, const dns::RRset* trusted,
+    const dns::Name& to_zone, int depth, const dns::RRset** out_keys) {
   // Build the list of zones strictly below from_zone down to to_zone,
   // assuming cuts at label boundaries (true throughout this simulator).
   std::vector<dns::Name> descent;
@@ -446,7 +464,7 @@ ValidationStatus RecursiveResolver::validate_descent(
   for (const dns::Name& child : descent) {
     if (const dns::RRset* cached =
             cache_.find_validated(child, dns::RRType::kDnskey)) {
-      trusted = *cached;
+      trusted = cached;
       parent = child;
       continue;
     }
@@ -456,7 +474,7 @@ ValidationStatus RecursiveResolver::validate_descent(
         ds_fetch.kind == Fetched::Kind::kNxDomain) {
       // Proven (or cached) absence of DS: the delegation is insecure.
       if (!ds_fetch.from_cache) {
-        cache_validated_nsecs(ds_fetch.authority, parent, trusted);
+        cache_validated_nsecs(ds_fetch.authority, parent, *trusted);
       }
       return ValidationStatus::kInsecure;
     }
@@ -464,7 +482,7 @@ ValidationStatus RecursiveResolver::validate_descent(
       return ValidationStatus::kIndeterminate;
     }
     const dns::RRset* ds_rrset = nullptr;
-    for (const dns::RRset& rrset : ds_fetch.answer.rrsets) {
+    for (const dns::RRset& rrset : ds_fetch.answer_rrsets()) {
       if (rrset.type() == dns::RRType::kDs && rrset.name() == child) {
         ds_rrset = &rrset;
         break;
@@ -472,39 +490,40 @@ ValidationStatus RecursiveResolver::validate_descent(
     }
     if (ds_rrset == nullptr) return ValidationStatus::kIndeterminate;
     if (!(ds_fetch.from_cache && ds_fetch.cached_validated)) {
-      if (validator_.verify_rrset(*ds_rrset, ds_fetch.answer.rrsigs,
-                                  trusted) != SigCheck::kValid) {
+      if (validator_.verify_rrset(*ds_rrset, ds_fetch.answer_rrsigs(),
+                                  *trusted) != SigCheck::kValid) {
         return ValidationStatus::kBogus;
       }
-      cache_.store(*ds_rrset, /*validated=*/true, ds_fetch.answer.rrsigs);
+      // A borrowed (unvalidated) cache entry is replaced here: continue
+      // with the stored copy.
+      ds_rrset = cache_.store(*ds_rrset, /*validated=*/true,
+                              ds_fetch.answer_rrsigs());
     }
 
     const auto* ds =
         std::get_if<dns::DsRdata>(&ds_rrset->records().front().rdata);
     if (ds == nullptr) return ValidationStatus::kBogus;
-    dns::RRset child_keys;
     const ValidationStatus key_status =
-        validate_zone_keys(child, ds, nullptr, depth, &child_keys);
+        validate_zone_keys(child, ds, nullptr, depth, &trusted);
     if (key_status != ValidationStatus::kSecure) return key_status;
-    trusted = std::move(child_keys);
     parent = child;
   }
-  *out_keys = std::move(trusted);
+  *out_keys = trusted;
   return ValidationStatus::kSecure;
 }
 
 ValidationStatus RecursiveResolver::validate_chain(const dns::Name& zone,
                                                    int depth,
-                                                   dns::RRset* out_keys) {
+                                                   const dns::RRset** out_keys) {
   if (!config_.root_anchor_available() || !root_anchor_.has_value()) {
     return ValidationStatus::kIndeterminate;
   }
-  dns::RRset root_keys;
+  const dns::RRset* root_keys = nullptr;
   const ValidationStatus root_status = validate_zone_keys(
       dns::Name::root(), nullptr, &*root_anchor_, depth, &root_keys);
   if (root_status != ValidationStatus::kSecure) return root_status;
-  return validate_descent(dns::Name::root(), std::move(root_keys), zone,
-                          depth, out_keys);
+  return validate_descent(dns::Name::root(), root_keys, zone, depth,
+                          out_keys);
 }
 
 void RecursiveResolver::cache_validated_nsecs(const GroupedSection& section,
@@ -596,13 +615,13 @@ ValidationStatus RecursiveResolver::validate_response(const Fetched& fetched,
     return fetched.cached_validated ? ValidationStatus::kSecure
                                     : ValidationStatus::kInsecure;
   }
-  dns::RRset zone_keys;
+  const dns::RRset* zone_keys = nullptr;
   const ValidationStatus chain =
       validate_chain(fetched.auth_zone, depth, &zone_keys);
   if (chain != ValidationStatus::kSecure) return chain;
 
-  for (const dns::RRset& rrset : fetched.answer.rrsets) {
-    if (validator_.verify_rrset(rrset, fetched.answer.rrsigs, zone_keys) !=
+  for (const dns::RRset& rrset : fetched.answer_rrsets()) {
+    if (validator_.verify_rrset(rrset, fetched.answer_rrsigs(), *zone_keys) !=
         SigCheck::kValid) {
       return ValidationStatus::kBogus;
     }
@@ -618,14 +637,14 @@ ValidationStatus RecursiveResolver::validate_response(const Fetched& fetched,
         continue;
       }
       if (validator_.verify_rrset(rrset, fetched.authority.rrsigs,
-                                  zone_keys) != SigCheck::kValid) {
+                                  *zone_keys) != SigCheck::kValid) {
         return ValidationStatus::kBogus;
       }
     }
     // NSEC3 proofs carry their own signature checks plus the iterated-hash
     // verification (and its modeled CPU bill) behind the RFC 9276 cap.
     switch (handle_nsec3_denial(fetched.authority, qname, fetched.auth_zone,
-                                &zone_keys)) {
+                                zone_keys)) {
       case Nsec3Policy::kRejected:
         return ValidationStatus::kBogus;
       case Nsec3Policy::kDowngraded:
@@ -634,7 +653,7 @@ ValidationStatus RecursiveResolver::validate_response(const Fetched& fetched,
       case Nsec3Policy::kAccepted:
         break;
     }
-    cache_validated_nsecs(fetched.authority, fetched.auth_zone, zone_keys);
+    cache_validated_nsecs(fetched.authority, fetched.auth_zone, *zone_keys);
   }
   return ValidationStatus::kSecure;
 }
@@ -662,13 +681,14 @@ const dns::RRset* RecursiveResolver::dlv_zone_keys(const dns::Name& apex,
       /*recursion_desired=*/false, /*dnssec_ok=*/true);
   // DLV traffic runs on its own bounded retry budget: a dead registry must
   // not cost the full upstream schedule on every resolution (§8.4).
-  const auto response = exchange_zone(apex, query, config_.dlv_retry);
+  std::optional<dns::Message> response =
+      exchange_zone(apex, query, config_.dlv_retry);
   if (!response.has_value()) {
     if (current_ != nullptr) current_->dlv.timed_out = true;
     return nullptr;
   }
 
-  const GroupedSection answer = group_section(response->answers);
+  const GroupedSection answer = group_section(std::move(response->answers));
   const dns::RRset* keys = find_rrset(answer, apex, dns::RRType::kDnskey);
   if (keys == nullptr) return nullptr;
   bool anchored = false;
@@ -782,7 +802,8 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
     const dns::Message query = dns::Message::make_query(
         next_id_++, candidate, dns::RRType::kDlv,
         /*recursion_desired=*/false, /*dnssec_ok=*/true);
-    const auto response = exchange_zone(apex, query, config_.dlv_retry);
+    std::optional<dns::Message> response =
+        exchange_zone(apex, query, config_.dlv_retry);
     result.dlv.used = true;
     result.dlv.query_names.push_back(candidate);
     stats_.add("dlv.queries");
@@ -803,8 +824,9 @@ RecursiveResolver::DlvOutcome RecursiveResolver::dlv_lookup_at(
       continue;
     }
 
-    GroupedSection answer = group_section(response->answers);
-    GroupedSection authority = group_section(response->authorities);
+    const GroupedSection answer = group_section(std::move(response->answers));
+    const GroupedSection authority =
+        group_section(std::move(response->authorities));
 
     const dns::RRset* dlv_rrset =
         find_rrset(answer, candidate, dns::RRType::kDlv);
@@ -892,7 +914,7 @@ std::optional<bool> RecursiveResolver::fetch_txt_signal(
     const dns::Name& domain, int depth) {
   Fetched fetched = fetch(domain, dns::RRType::kTxt, depth + 1);
   if (fetched.kind != Fetched::Kind::kAnswer) return std::nullopt;
-  for (const dns::RRset& rrset : fetched.answer.rrsets) {
+  for (const dns::RRset& rrset : fetched.answer_rrsets()) {
     if (rrset.type() != dns::RRType::kTxt) continue;
     for (const dns::ResourceRecord& record : rrset.records()) {
       const auto* txt = std::get_if<dns::TxtRdata>(&record.rdata);
@@ -1023,20 +1045,19 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
         const DlvOutcome dlv = dlv_lookup(current_name, result, 0);
         if (dlv.found) {
           result.dlv.record_found = true;
-          dns::RRset anchor_keys;
+          const dns::RRset* anchor_keys = nullptr;
           ValidationStatus via_dlv = validate_zone_keys(
               dlv.matched_domain, &dlv.ds, nullptr, 0, &anchor_keys);
           if (via_dlv == ValidationStatus::kSecure &&
               dlv.matched_domain != fetched.auth_zone) {
-            via_dlv = validate_descent(dlv.matched_domain,
-                                       std::move(anchor_keys),
+            via_dlv = validate_descent(dlv.matched_domain, anchor_keys,
                                        fetched.auth_zone, 0, &anchor_keys);
           }
           if (via_dlv == ValidationStatus::kSecure) {
             bool all_valid = true;
-            for (const dns::RRset& rrset : fetched.answer.rrsets) {
-              if (validator_.verify_rrset(rrset, fetched.answer.rrsigs,
-                                          anchor_keys) != SigCheck::kValid) {
+            for (const dns::RRset& rrset : fetched.answer_rrsets()) {
+              if (validator_.verify_rrset(rrset, fetched.answer_rrsigs(),
+                                          *anchor_keys) != SigCheck::kValid) {
                 all_valid = false;
                 break;
               }
@@ -1070,14 +1091,14 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
       break;
     }
     if (leg_status == ValidationStatus::kSecure) {
-      for (const dns::RRset& rrset : fetched.answer.rrsets) {
+      for (const dns::RRset& rrset : fetched.answer_rrsets()) {
         cache_.mark_validated(rrset.name(), rrset.type());
       }
     }
 
     // Copy answers out (records first, then covering signatures).
     const dns::RRset* cname_rrset = nullptr;
-    for (const dns::RRset& rrset : fetched.answer.rrsets) {
+    for (const dns::RRset& rrset : fetched.answer_rrsets()) {
       for (const dns::ResourceRecord& record : rrset.records()) {
         result.response.answers.push_back(record);
       }
@@ -1085,12 +1106,12 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
         cname_rrset = &rrset;
       }
     }
-    for (const dns::ResourceRecord& sig : fetched.answer.rrsigs) {
+    for (const dns::ResourceRecord& sig : fetched.answer_rrsigs()) {
       result.response.answers.push_back(sig);
     }
 
     if (cname_rrset != nullptr &&
-        find_rrset(fetched.answer, current_name, qtype) == nullptr) {
+        fetched.find_answer(current_name, qtype) == nullptr) {
       if (++chased > config_.max_cname_depth) {
         result.response.header.rcode = dns::RCode::kServFail;
         break;
@@ -1134,7 +1155,7 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
     }
     result.response.answers = std::move(plain);
   }
-  stats_.add(std::string("resolve.status.") + status_name(result.status));
+  stats_.add(status_counter(result.status));
   if (result.dlv.used) stats_.add("resolve.dlv_used");
   if (result.dlv.suppressed_by_nsec) stats_.add("resolve.dlv_suppressed_nsec");
   if (result.dlv.suppressed_by_signal) {
@@ -1156,16 +1177,27 @@ ResolveResult RecursiveResolver::resolve(const Query& query) {
     tracer_->end_span(span_id);
   }
 
-  last_result_ = std::move(result);
   current_ = nullptr;
   // Cache maintenance runs strictly between resolutions: eviction destroys
-  // boxed entries, and last_result_ holds copies, so nothing handed out
+  // boxed entries, and the result holds copies, so nothing handed out
   // during this resolution can dangle. The query context stays pushed so
   // eviction events are attributed to the resolution whose tick they ran
   // under, mirroring the serve frontend's still-open context.
   cache_.maintain();
   if (pushed_query_context) tracer_->pop_query();
-  return last_result_;
+  return result;
+}
+
+void RecursiveResolver::replay_cache_hit(const dns::Name& qname,
+                                         dns::RRType qtype) {
+  // The lookups resolve() makes before it would leave the cache, in order.
+  cache_.quietly([&] {
+    if (config_.servfail_ttl > 0 && cache_.find_servfail(qname, qtype)) {
+      return;
+    }
+    (void)fetch_from_cache(qname, qtype, /*account=*/false);
+  });
+  cache_.maintain();
 }
 
 dns::Message RecursiveResolver::handle_query(const dns::Message& query) {
@@ -1173,10 +1205,10 @@ dns::Message RecursiveResolver::handle_query(const dns::Message& query) {
   // options.dnssec_ok (plain stubs get a stripped answer), CD becomes
   // options.checking_disabled.
   const dns::Question& question = query.question();
-  const ResolveResult result = resolve(
+  ResolveResult result = resolve(
       Query{question.name, question.type,
             QueryOptions{query.dnssec_ok, query.header.cd}});
-  dns::Message response = result.response;
+  dns::Message response = std::move(result.response);
   response.header.id = query.header.id;
   response.header.rd = query.header.rd;
   response.header.cd = query.header.cd;

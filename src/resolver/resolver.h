@@ -16,7 +16,9 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -138,9 +140,21 @@ class RecursiveResolver : public sim::Endpoint {
   /// resolve API since PR 9 removed the positional shim).
   [[nodiscard]] ResolveResult resolve(const Query& query);
 
+  /// The cache bookkeeping of a resolve() that would hit the cache, for a
+  /// query answered some other way (a serving frontend's coalesced
+  /// waiter): the same lookups, so the same second-chance bits and expired
+  /// purges, then the maintain() tick. It counts nothing, charges no
+  /// virtual time and never leaves the resolver. Without it a capped
+  /// cache's eviction clock drifts from a resolver that answered the same
+  /// query sequence one by one.
+  void replay_cache_hit(const dns::Name& qname, dns::RRType qtype);
+
   // -- sim::Endpoint ---------------------------------------------------------
 
-  [[nodiscard]] std::string endpoint_id() const override { return "recursive"; }
+  [[nodiscard]] const std::string& endpoint_id() const override {
+    static const std::string id = "recursive";
+    return id;
+  }
   [[nodiscard]] dns::Message handle_query(const dns::Message& query) override;
 
   // -- Introspection -----------------------------------------------------------
@@ -158,8 +172,6 @@ class RecursiveResolver : public sim::Endpoint {
     validator_.attach_shared(store, shard_id);
   }
   [[nodiscard]] metrics::CounterSet& stats() { return stats_; }
-  /// Result of the most recent resolve() (valid until the next one).
-  [[nodiscard]] const ResolveResult& last_result() const { return last_result_; }
 
   /// Attaches a structured tracer (nullable; null disables tracing). The
   /// resolver opens one span per resolution and emits stub_query,
@@ -183,10 +195,35 @@ class RecursiveResolver : public sim::Endpoint {
     bool from_cache = false;
     bool cached_validated = false;
     bool z_bit = false;    // Z bit seen on the final answer (remedy §6.2.1)
+    // A cache hit borrows the entry instead of copying it into `answer`;
+    // like the key pointers below, it holds until resolve() returns.
+    const dns::RRset* cached_rrset = nullptr;
+    const std::vector<dns::ResourceRecord>* cached_rrsigs = nullptr;
+
+    /// The answer's RRsets and signatures, borrowed or owned.
+    [[nodiscard]] std::span<const dns::RRset> answer_rrsets() const {
+      if (cached_rrset != nullptr) return {cached_rrset, 1};
+      return answer.rrsets;
+    }
+    [[nodiscard]] const std::vector<dns::ResourceRecord>& answer_rrsigs()
+        const {
+      return cached_rrsigs != nullptr ? *cached_rrsigs : answer.rrsigs;
+    }
+    /// First answer RRset with (name, type), or nullptr.
+    [[nodiscard]] const dns::RRset* find_answer(const dns::Name& name,
+                                                dns::RRType type) const {
+      for (const dns::RRset& rrset : answer_rrsets()) {
+        if (rrset.name() == name && rrset.type() == type) return &rrset;
+      }
+      return nullptr;
+    }
   };
 
   Fetched fetch(const dns::Name& qname, dns::RRType qtype, int depth);
-  Fetched fetch_from_cache(const dns::Name& qname, dns::RRType qtype);
+  /// The cache-only leg of fetch(). `account` off skips its statistics and
+  /// virtual-time charges (replay_cache_hit).
+  Fetched fetch_from_cache(const dns::Name& qname, dns::RRType qtype,
+                           bool account = true);
   /// Translates a unified denial proof into a cache-sourced Fetched.
   [[nodiscard]] static Fetched fetched_denial(const ProofResult& proof);
 
@@ -214,18 +251,23 @@ class RecursiveResolver : public sim::Endpoint {
   void mark_server_dead(const std::string& server_id,
                         const dns::Question& question);
 
+  // The validated DNSKEY RRsets below are handed out as pointers into the
+  // cache: entries are boxed and only maintain() (between resolutions)
+  // frees them, and no step of one resolution re-stores a zone's DNSKEY
+  // set once it is validated, so the pointers hold until resolve() ends.
+
   /// Validates the chain of trust from the root anchor down to `zone`,
   /// returning the zone's validated DNSKEY RRset in `out_keys` on success.
   ValidationStatus validate_chain(const dns::Name& zone, int depth,
-                                  dns::RRset* out_keys);
+                                  const dns::RRset** out_keys);
 
   /// Walks DS/DNSKEY links from `from_zone` (whose validated keys are
   /// `trusted`) down to `to_zone`; on success `out_keys` holds `to_zone`'s
   /// validated DNSKEY RRset. Shared by root-anchored and DLV-anchored paths.
   ValidationStatus validate_descent(const dns::Name& from_zone,
-                                    dns::RRset trusted,
+                                    const dns::RRset* trusted,
                                     const dns::Name& to_zone, int depth,
-                                    dns::RRset* out_keys);
+                                    const dns::RRset** out_keys);
 
   /// Fetches `zone`'s DNSKEY RRset and verifies it against a DS (or a
   /// configured trust-anchor DNSKEY). On success caches it as validated and
@@ -233,7 +275,7 @@ class RecursiveResolver : public sim::Endpoint {
   ValidationStatus validate_zone_keys(const dns::Name& zone,
                                       const dns::DsRdata* ds,
                                       const dns::DnskeyRdata* anchor,
-                                      int depth, dns::RRset* out_keys);
+                                      int depth, const dns::RRset** out_keys);
 
   /// Validates a fetched answer end to end.
   ValidationStatus validate_response(const Fetched& fetched,
@@ -301,8 +343,8 @@ class RecursiveResolver : public sim::Endpoint {
 
   /// Emits a trace event when a tracer is attached (no-op otherwise).
   void trace_event(obs::EventKind kind, const dns::Name& name,
-                   dns::RRType qtype, std::string detail,
-                   std::string server = {}) const;
+                   dns::RRType qtype, std::string_view detail,
+                   std::string_view server = {}) const;
 
   sim::Network* network_;
   server::ServerDirectory* directory_;
@@ -313,7 +355,6 @@ class RecursiveResolver : public sim::Endpoint {
   Validator validator_;
   metrics::CounterSet stats_;
   obs::Tracer* tracer_ = nullptr;
-  ResolveResult last_result_;
   ResolveResult* current_ = nullptr;  // in-flight result for nested counting
   std::uint16_t next_id_ = 1;
   // Leak-cause memo: DLV candidate name -> expiry deadline of the last

@@ -167,13 +167,14 @@ class Validator {
 };
 
 /// Groups a message section into RRsets, preserving section order of first
-/// appearance; RRSIG records are returned separately.
+/// appearance; RRSIG records are returned separately. Records are moved out
+/// of `section`: pass std::move(message.answers) when the message is owned.
 struct GroupedSection {
   std::vector<dns::RRset> rrsets;
   std::vector<dns::ResourceRecord> rrsigs;
 };
 [[nodiscard]] GroupedSection group_section(
-    const std::vector<dns::ResourceRecord>& section);
+    std::vector<dns::ResourceRecord> section);
 
 /// First RRset with (name, type) within a grouped section, or nullptr.
 [[nodiscard]] const dns::RRset* find_rrset(const GroupedSection& section,

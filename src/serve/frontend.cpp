@@ -137,17 +137,26 @@ void FrontendServer::cpu_charge(std::uint32_t client, std::uint64_t cost_us) {
 }
 
 void FrontendServer::finish(Served& served, const dns::Message& request,
-                            const resolver::ResolveResult& result) {
-  dns::Message response = result.response;
+                            dns::Message& response) {
+  const dns::Header shared_header = response.header;
+  const bool shared_edns = response.edns;
+  const bool shared_dnssec_ok = response.dnssec_ok;
   response.header.id = request.header.id;
   response.header.rd = request.header.rd;
   response.header.cd = request.header.cd;
   response.edns = request.edns;
   response.dnssec_ok = request.dnssec_ok;
-  if (!request.dnssec_ok) strip_for_plain_stub(response);
-
+  if (request.dnssec_ok) {
+    served.response_wire = dns::encode_message(response);
+  } else {
+    dns::Message plain = response;
+    strip_for_plain_stub(plain);
+    served.response_wire = dns::encode_message(plain);
+  }
   served.rcode = response.header.rcode;
-  served.response_wire = dns::encode_message(response);
+  response.header = shared_header;
+  response.edns = shared_edns;
+  response.dnssec_ok = shared_dnssec_ok;
   served.response_bytes = served.response_wire.size();
   stats_.add("serve.answered");
   stats_.add("serve.bytes.response", served.response_bytes);
@@ -173,6 +182,10 @@ Served FrontendServer::serve_decoded(const WireQuery& query,
     entry.waiters += 1;
     depth_ += 1;
     note_depth();
+    // Answering from the entry skips the resolver, but a sequential
+    // resolver would have answered this query from its cache: replay that
+    // hit's bookkeeping so a capped cache evicts exactly as it would.
+    resolver_->replay_cache_hit(served.qname, served.qtype);
     served.coalesced = true;
     served.completion_us = entry.completion_us;
     if (tracer_ != nullptr && entry.result.trace_span_id != 0) {
@@ -193,7 +206,7 @@ Served FrontendServer::serve_decoded(const WireQuery& query,
                     with_shard(shard_label_, {{"result", "hit"}}));
     }
     account(query.client).coalesce_hits += 1;
-    finish(served, message, entry.result);
+    finish(served, message, entry.result.response);
     return served;
   }
 
@@ -229,7 +242,7 @@ Served FrontendServer::serve_decoded(const WireQuery& query,
   // client got there first.
   const std::uint64_t case2_before = case2_count(registry_);
   const std::uint64_t work_start_us = network_->clock().now_us();
-  const resolver::ResolveResult result =
+  resolver::ResolveResult result =
       resolver_->resolve({served.qname, served.qtype});
   const std::uint64_t cost_us = network_->clock().now_us() - work_start_us;
   const std::uint64_t leaked = case2_count(registry_) - case2_before;
@@ -255,8 +268,11 @@ Served FrontendServer::serve_decoded(const WireQuery& query,
   acct.case2_leaks += leaked;
   cpu_charge(query.client, result.validation_cost_us);
 
-  finish(served, message, result);
-  inflight_.emplace(key, InFlight{served.completion_us, 1, result});
+  InFlight& entry =
+      inflight_
+          .emplace(key, InFlight{served.completion_us, 1, std::move(result)})
+          .first->second;
+  finish(served, message, entry.result.response);
   depth_ += 1;
   note_depth();
   return served;
@@ -264,9 +280,14 @@ Served FrontendServer::serve_decoded(const WireQuery& query,
 
 Served FrontendServer::submit(const WireQuery& query) {
   // The schedule is processed in arrival order; a clock that ran backwards
-  // would corrupt the in-flight table, so clamp defensively.
-  WireQuery arrival = query;
-  arrival.time_us = std::max(arrival.time_us, last_arrival_us_);
+  // would corrupt the in-flight table, so clamp defensively (the only case
+  // that copies the query).
+  if (query.time_us < last_arrival_us_) {
+    WireQuery clamped = query;
+    clamped.time_us = last_arrival_us_;
+    return submit(clamped);
+  }
+  const WireQuery& arrival = query;
   last_arrival_us_ = arrival.time_us;
 
   expire(arrival.time_us);

@@ -203,8 +203,12 @@ class FrontendServer {
   bool cpu_admit(std::uint32_t client, std::uint64_t now_us);
   /// Bills `cost_us` of validation CPU against `client`'s bucket.
   void cpu_charge(std::uint32_t client, std::uint64_t cost_us);
+  /// Encodes `response` (an in-flight entry's shared answer) for one
+  /// client: that request's id, flags and EDNS view. The fields are set in
+  /// place and restored afterwards, so fan-out copies no records unless a
+  /// plain (DO=0) stub needs the DNSSEC records stripped.
   void finish(Served& served, const dns::Message& request,
-              const resolver::ResolveResult& result);
+              dns::Message& response);
   ClientAccount& account(std::uint32_t client);
   void note_depth();
 

@@ -4,37 +4,34 @@ namespace lookaside::server {
 
 void ServerDirectory::register_zone(const dns::Name& apex,
                                     std::shared_ptr<sim::Endpoint> endpoint) {
-  zones_[apex] = {std::move(endpoint)};
+  Zone& zone = zones_.get_or_insert(apex);
+  zone.endpoints = {endpoint.get()};
+  zone.owned = {std::move(endpoint)};
 }
 
 void ServerDirectory::add_zone_replica(const dns::Name& apex,
                                        std::shared_ptr<sim::Endpoint> endpoint) {
-  const auto it = zones_.find(apex);
-  if (it == zones_.end()) return;  // replicas require a registered primary
-  it->second.push_back(std::move(endpoint));
+  Zone* zone = zones_.find(apex);
+  if (zone == nullptr) return;  // replicas require a registered primary
+  zone->endpoints.push_back(endpoint.get());
+  zone->owned.push_back(std::move(endpoint));
 }
 
 sim::Endpoint* ServerDirectory::authority_for_zone(
     const dns::Name& apex) const {
-  const auto it = zones_.find(apex);
-  if (it != zones_.end() && !it->second.empty()) return it->second.front().get();
+  const Zone* zone = zones_.find(apex);
+  if (zone != nullptr && !zone->endpoints.empty()) {
+    return zone->endpoints.front();
+  }
   return fallback_ ? fallback_(apex) : nullptr;
 }
 
-std::vector<sim::Endpoint*> ServerDirectory::authorities_for_zone(
+AuthorityList ServerDirectory::authorities_for_zone(
     const dns::Name& apex) const {
-  std::vector<sim::Endpoint*> out;
-  const auto it = zones_.find(apex);
-  if (it != zones_.end()) {
-    out.reserve(it->second.size());
-    for (const auto& endpoint : it->second) out.push_back(endpoint.get());
-    return out;
+  if (const Zone* zone = zones_.find(apex)) {
+    return AuthorityList(std::span<sim::Endpoint* const>(zone->endpoints));
   }
-  if (fallback_) {
-    sim::Endpoint* endpoint = fallback_(apex);
-    if (endpoint != nullptr) out.push_back(endpoint);
-  }
-  return out;
+  return AuthorityList(fallback_ ? fallback_(apex) : nullptr);
 }
 
 sim::Endpoint* ServerDirectory::deepest_authority(
@@ -42,10 +39,10 @@ sim::Endpoint* ServerDirectory::deepest_authority(
   // Walk suffixes of qname from deepest to the root.
   dns::Name candidate = qname;
   for (;;) {
-    const auto it = zones_.find(candidate);
-    if (it != zones_.end() && !it->second.empty()) {
+    const Zone* zone = zones_.find(candidate);
+    if (zone != nullptr && !zone->endpoints.empty()) {
       if (matched_apex != nullptr) *matched_apex = candidate;
-      return it->second.front().get();
+      return zone->endpoints.front();
     }
     if (candidate.is_root()) return nullptr;
     candidate = candidate.parent();

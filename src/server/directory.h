@@ -8,14 +8,40 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dns/name.h"
+#include "dns/name_map.h"
 #include "sim/network.h"
 
 namespace lookaside::server {
+
+/// The endpoints serving one apex in consultation order: a view of the
+/// registered list, or the fallback hook's single endpoint held inline. It
+/// allocates nothing and stays valid until the apex is re-registered.
+class AuthorityList {
+ public:
+  AuthorityList() = default;
+  explicit AuthorityList(std::span<sim::Endpoint* const> registered)
+      : registered_(registered) {}
+  explicit AuthorityList(sim::Endpoint* fallback) : fallback_(fallback) {}
+
+  [[nodiscard]] sim::Endpoint* const* begin() const {
+    return registered_.empty() ? &fallback_ : registered_.data();
+  }
+  [[nodiscard]] sim::Endpoint* const* end() const { return begin() + size(); }
+  [[nodiscard]] std::size_t size() const {
+    return registered_.empty() ? (fallback_ != nullptr ? 1 : 0)
+                               : registered_.size();
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+
+ private:
+  std::span<sim::Endpoint* const> registered_;
+  sim::Endpoint* fallback_ = nullptr;
+};
 
 /// Registry of authoritative endpoints by zone apex. A zone may have
 /// several endpoints (a primary plus failover replicas, like a real NS
@@ -41,7 +67,7 @@ class ServerDirectory {
   /// Every endpoint serving `apex` in consultation order (primary first,
   /// then replicas); falls back to the fallback hook's single endpoint.
   /// Empty when the apex is unknown.
-  [[nodiscard]] std::vector<sim::Endpoint*> authorities_for_zone(
+  [[nodiscard]] AuthorityList authorities_for_zone(
       const dns::Name& apex) const;
 
   /// Installs the fallback hook; it may return nullptr to decline.
@@ -58,14 +84,16 @@ class ServerDirectory {
   [[nodiscard]] std::size_t zone_count() const { return zones_.size(); }
 
  private:
-  struct CanonicalLess {
-    bool operator()(const dns::Name& a, const dns::Name& b) const {
-      return a.canonical_compare(b) < 0;
-    }
+  /// One apex's registration: the owning handles, and the same endpoints
+  /// as raw pointers for AuthorityList views.
+  struct Zone {
+    std::vector<std::shared_ptr<sim::Endpoint>> owned;
+    std::vector<sim::Endpoint*> endpoints;
   };
-  std::map<dns::Name, std::vector<std::shared_ptr<sim::Endpoint>>,
-           CanonicalLess>
-      zones_;
+  // Apex lookups are exact-name probes (and a suffix walk for
+  // deepest_authority), so a hash map on the memoized name hash serves
+  // them without canonical-order label compares.
+  dns::NameHashMap<Zone> zones_;
   std::function<sim::Endpoint*(const dns::Name&)> fallback_;
 };
 

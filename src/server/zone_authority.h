@@ -29,7 +29,9 @@ class ZoneAuthority : public sim::Endpoint {
   /// Unsigned authority.
   ZoneAuthority(std::string endpoint_id, std::shared_ptr<zone::Zone> zone);
 
-  [[nodiscard]] std::string endpoint_id() const override { return id_; }
+  [[nodiscard]] const std::string& endpoint_id() const override {
+    return id_;
+  }
   [[nodiscard]] dns::Message handle_query(const dns::Message& query) override;
 
   [[nodiscard]] bool is_signed() const { return signed_zone_ != nullptr; }

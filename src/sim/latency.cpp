@@ -25,8 +25,10 @@ std::uint64_t LatencyModel::hashed_default_us(std::string_view endpoint_id) {
 }
 
 std::uint64_t LatencyModel::one_way_us(std::string_view endpoint_id) const {
-  const auto it = overrides_.find(std::string(endpoint_id));
-  if (it != overrides_.end()) return it->second;
+  if (!overrides_.empty()) {
+    const auto it = overrides_.find(std::string(endpoint_id));
+    if (it != overrides_.end()) return it->second;
+  }
   if (endpoint_id == "root") return 30 * kMsToUs;
   if (endpoint_id.rfind("tld:", 0) == 0) return 25 * kMsToUs;
   if (endpoint_id.rfind("dlv:", 0) == 0) return 40 * kMsToUs;

@@ -4,23 +4,54 @@
 
 namespace lookaside::sim {
 
-void Network::record(PacketRecord packet) {
+namespace {
+
+/// The counter name stored for `key`, built by `make` the first time only.
+template <typename Map, typename Make>
+const std::string& cached_key(Map& keys, const typename Map::key_type& key,
+                              Make make) {
+  auto it = keys.find(key);
+  if (it == keys.end()) it = keys.emplace(key, make()).first;
+  return it->second;
+}
+
+}  // namespace
+
+void Network::set_packet_question(const dns::Message& query) {
+  packet_.has_question = !query.questions.empty();
+  if (packet_.has_question) {
+    packet_.qname = query.question().name;
+    packet_.qtype = query.question().type;
+  } else {
+    packet_.qname = dns::Name::root();
+    packet_.qtype = dns::RRType::kA;
+  }
+}
+
+void Network::record() {
+  const PacketRecord& packet = packet_;
   if (packet.is_query) {
     counters_.add("packets.query");
     counters_.add("bytes.query", packet.bytes);
     counters_.add("bytes.total", packet.bytes);
     if (packet.has_question) {
-      counters_.add("query." + dns::rr_type_name(packet.qtype));
+      counters_.add(cached_key(
+          query_keys_, static_cast<std::uint16_t>(packet.qtype),
+          [&] { return "query." + dns::rr_type_name(packet.qtype); }));
     }
-    counters_.add("dest." + packet.to + ".queries");
+    counters_.add(cached_key(dest_keys_, packet.to, [&] {
+      return "dest." + packet.to + ".queries";
+    }));
   } else {
     counters_.add("packets.response");
     counters_.add("bytes.response", packet.bytes);
     counters_.add("bytes.total", packet.bytes);
-    counters_.add("rcode." + dns::rcode_name(packet.rcode));
+    counters_.add(cached_key(
+        rcode_keys_, static_cast<std::uint16_t>(packet.rcode),
+        [&] { return "rcode." + dns::rcode_name(packet.rcode); }));
   }
   for (const auto& observer : observers_) observer(packet);
-  if (capture_enabled_) capture_.push_back(std::move(packet));
+  if (capture_enabled_) capture_.push_back(packet);
 }
 
 void Network::notify_fault(const dns::Message& query, const std::string& to,
@@ -52,22 +83,18 @@ std::optional<dns::Message> Network::exchange(const std::string& from,
                                               Endpoint& server,
                                               const dns::Message& query,
                                               std::uint64_t timeout_us) {
-  const std::string to = server.endpoint_id();
+  const std::string& to = server.endpoint_id();
   const std::uint64_t timeout = timeout_us != 0 ? timeout_us : timeout_us_;
-  const std::size_t query_bytes = dns::wire_size(query);
 
-  PacketRecord query_record;
-  query_record.time_us = clock_->now_us();
-  query_record.from = from;
-  query_record.to = to;
-  query_record.bytes = query_bytes;
-  query_record.is_query = true;
-  if (!query.questions.empty()) {
-    query_record.has_question = true;
-    query_record.qname = query.question().name;
-    query_record.qtype = query.question().type;
-  }
-  record(std::move(query_record));
+  packet_.time_us = clock_->now_us();
+  packet_.from = from;
+  packet_.to = to;
+  packet_.bytes = dns::wire_size(query);
+  packet_.is_query = true;
+  set_packet_question(query);
+  packet_.rcode = dns::RCode::kNoError;
+  packet_.rtt_us = 0;
+  record();
 
   FaultDecision fault = injector_.decide(to, clock_->now_us());
   if (fault.drop_query) {
@@ -131,22 +158,17 @@ std::optional<dns::Message> Network::exchange(const std::string& from,
 
   clock_->advance_us(one_way + fault.added_latency_us);
 
-  const std::size_t response_bytes = dns::wire_size(response);
-
-  PacketRecord response_record;
-  response_record.time_us = clock_->now_us();
-  response_record.from = to;
-  response_record.to = from;
-  response_record.bytes = response_bytes;
-  response_record.is_query = false;
-  if (!query.questions.empty()) {
-    response_record.has_question = true;
-    response_record.qname = query.question().name;
-    response_record.qtype = query.question().type;
-  }
-  response_record.rcode = response.header.rcode;
-  response_record.rtt_us = round_trip;
-  record(std::move(response_record));
+  // Every field is set again: handle_query may have run nested exchanges
+  // (a resolver endpoint) that refilled packet_.
+  packet_.time_us = clock_->now_us();
+  packet_.from = to;
+  packet_.to = from;
+  packet_.bytes = dns::wire_size(response);
+  packet_.is_query = false;
+  set_packet_question(query);
+  packet_.rcode = response.header.rcode;
+  packet_.rtt_us = round_trip;
+  record();
 
   return response;
 }

@@ -11,6 +11,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/codec.h"
@@ -27,8 +28,9 @@ class Endpoint {
  public:
   virtual ~Endpoint() = default;
 
-  /// Stable identifier used for latency lookup and capture records.
-  [[nodiscard]] virtual std::string endpoint_id() const = 0;
+  /// Stable identifier used for latency lookup and capture records. Built
+  /// once per endpoint: the network reads it on every packet.
+  [[nodiscard]] virtual const std::string& endpoint_id() const = 0;
 
   /// Produces the response for `query`. Implementations are deterministic.
   [[nodiscard]] virtual dns::Message handle_query(const dns::Message& query) = 0;
@@ -143,8 +145,11 @@ class Network {
 
  private:
   /// The single accounting path: updates counters, notifies observers and
-  /// appends to the stored capture (when enabled) from one record.
-  void record(PacketRecord record);
+  /// appends to the stored capture (when enabled) from `packet_`.
+  void record();
+  /// Copies `query`'s question (or the no-question defaults) into packet_.
+  void set_packet_question(const dns::Message& query);
+
 
   /// Charges a lost exchange: waits out the timeout, counts it, tells the
   /// fault observers. `partial` marks response-leg losses.
@@ -159,6 +164,14 @@ class Network {
   metrics::CounterSet counters_;
   std::vector<PacketRecord> capture_;
   bool capture_enabled_ = false;
+  // The packet being accounted. Refilled in place for every packet, so
+  // its strings and name reuse their buffers instead of allocating.
+  PacketRecord packet_;
+  // Counter names that embed a packet field, built once per distinct
+  // value: "dest.<endpoint>.queries", "query.<TYPE>", "rcode.<NAME>".
+  std::unordered_map<std::string, std::string> dest_keys_;
+  std::unordered_map<std::uint16_t, std::string> query_keys_;
+  std::unordered_map<std::uint16_t, std::string> rcode_keys_;
   std::vector<std::function<void(const PacketRecord&)>> observers_;
   std::vector<std::function<void(const FaultNotice&)>> fault_observers_;
   FaultInjector injector_;

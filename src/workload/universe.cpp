@@ -128,10 +128,14 @@ std::optional<std::uint64_t> Universe::rank_of(const dns::Name& name) const {
   if (!rank.has_value() || *rank == 0 || *rank > options_.size) {
     return std::nullopt;
   }
-  // Verify the checksum characters and TLD so foreign names are rejected.
-  if (domain_at(*rank).internal_text() !=
-      std::string(label) + "." +
-          std::string(name.label(name.label_count() - 1))) {
+  // Verify the canonical rank spelling, the checksum characters and the
+  // TLD (everything domain_at would write) so foreign names are rejected.
+  const std::uint64_t h = mix(*rank, 2);
+  const std::string_view checksum = tail.substr(dash + 1);
+  if (tail.substr(0, dash) != base36(*rank) || checksum.size() != 2 ||
+      checksum[0] != static_cast<char>('a' + h % 26) ||
+      checksum[1] != static_cast<char>('a' + (h / 26) % 26) ||
+      name.label(name.label_count() - 1) != tld_for(*rank)) {
     return std::nullopt;
   }
   return rank;
@@ -163,9 +167,13 @@ double Universe::deposit_probability(std::uint64_t rank,
 }
 
 DomainInfo Universe::info(std::uint64_t rank) const {
+  return info_named(rank, domain_at(rank));
+}
+
+DomainInfo Universe::info_named(std::uint64_t rank, dns::Name name) const {
   DomainInfo out;
   out.rank = rank;
-  out.name = domain_at(rank);
+  out.name = std::move(name);
   out.tld = tld_for(rank);
 
   const double roll = unit(rank, 3);
@@ -190,6 +198,9 @@ DomainInfo Universe::info(std::uint64_t rank) const {
 std::optional<DomainInfo> Universe::info_by_name(const dns::Name& name) const {
   const auto rank = rank_of(name);
   if (!rank.has_value()) return std::nullopt;
+  // rank_of checked the last two labels; a two-label name is then exactly
+  // domain_at(*rank), so it is reused instead of rebuilt.
+  if (name.label_count() == 2) return info_named(*rank, name);
   return info(*rank);
 }
 

@@ -106,6 +106,9 @@ class Universe {
   [[nodiscard]] const std::vector<std::string>& tlds() const { return tlds_; }
 
  private:
+  /// info() for a caller that already holds domain_at(rank).
+  [[nodiscard]] DomainInfo info_named(std::uint64_t rank, dns::Name name) const;
+
   [[nodiscard]] std::uint64_t mix(std::uint64_t rank,
                                   std::uint64_t salt) const;
   [[nodiscard]] double unit(std::uint64_t rank, std::uint64_t salt) const;

@@ -1,5 +1,7 @@
 #include "workload/universe_world.h"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "crypto/dnssec_algo.h"
@@ -81,16 +83,18 @@ dns::ResourceRecord SyntheticSigner::sign(const dns::RRset& rrset,
   rrsig.key_tag = with_ksk ? keys_.ksk_tag() : keys_.zsk_tag();
   rrsig.signer = apex_;
 
-  const auto key = std::make_pair(rrset.name().internal_text(), rrset.type());
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) {
+  Memo& memo = cache_.get_or_insert(rrset.name());
+  const auto it = std::find_if(memo.begin(), memo.end(), [&](const auto& e) {
+    return e.first == rrset.type();
+  });
+  if (it != memo.end()) {
     rrsig.signature = it->second;
   } else {
     const dns::Bytes data = dns::rrsig_signed_data(rrsig, rrset);
     const crypto::RsaPrivateKey& signer =
         with_ksk ? keys_.ksk_private() : keys_.zsk_private();
     rrsig.signature = crypto::sign_message(signer, data);
-    cache_.emplace(key, rrsig.signature);
+    memo.emplace_back(rrset.type(), rrsig.signature);
   }
   return dns::ResourceRecord::make(rrset.name(), rrset.ttl(), dns::Rdata{rrsig});
 }
@@ -108,15 +112,15 @@ class TldAuthority : public sim::Endpoint {
   TldAuthority(std::string tld, const Universe& universe,
                const zone::KeyPool& sld_keys, zone::ZoneKeys keys,
                const WorldOptions& options)
-      : tld_(std::move(tld)),
-        apex_(dns::Name::parse(tld_)),
+      : id_("tld:" + tld),
+        apex_(dns::Name::parse(tld)),
         universe_(&universe),
         sld_keys_(&sld_keys),
         signer_(apex_, std::move(keys)),
         options_(&options) {}
 
-  [[nodiscard]] std::string endpoint_id() const override {
-    return "tld:" + tld_;
+  [[nodiscard]] const std::string& endpoint_id() const override {
+    return id_;
   }
 
   [[nodiscard]] dns::DsRdata ds_for_parent() const {
@@ -168,8 +172,8 @@ class TldAuthority : public sim::Endpoint {
 
     // Referral to the child.
     response.header.aa = false;
-    const dns::RRset ns = ns_rrset(sld, info, provider);
-    append(response.authorities, ns, /*sign=*/false);
+    append(response.authorities, ns_rrset(sld, info, provider),
+           /*sign=*/false);
     if (want_dnssec) {
       if (info.has_value() && info->dnssec_signed && info->ds_in_parent) {
         append(response.authorities, ds_rrset(*info), true);
@@ -236,12 +240,14 @@ class TldAuthority : public sim::Endpoint {
     return out;
   }
 
-  void append(std::vector<dns::ResourceRecord>& section, const dns::RRset& rrset,
+  void append(std::vector<dns::ResourceRecord>& section, dns::RRset rrset,
               bool sign, bool with_ksk = false) {
-    for (const dns::ResourceRecord& record : rrset.records()) {
-      section.push_back(record);
+    std::optional<dns::ResourceRecord> rrsig;
+    if (sign) rrsig = signer_.sign(rrset, with_ksk);
+    for (dns::ResourceRecord& record : rrset.take_records()) {
+      section.push_back(std::move(record));
     }
-    if (sign) section.push_back(signer_.sign(rrset, with_ksk));
+    if (rrsig.has_value()) section.push_back(std::move(*rrsig));
   }
 
   void append_no_ds_proof(dns::Message& response, const dns::Name& cut) {
@@ -252,7 +258,7 @@ class TldAuthority : public sim::Endpoint {
     dns::RRset rrset(cut, dns::RRType::kNsec);
     rrset.add(dns::ResourceRecord::make(cut, options_->negative_ttl,
                                         dns::Rdata{nsec}));
-    append(response.authorities, rrset, true);
+    append(response.authorities, std::move(rrset), true);
   }
 
   void nodata(dns::Message& response, const dns::Name& qname,
@@ -276,10 +282,10 @@ class TldAuthority : public sim::Endpoint {
     dns::RRset rrset(owner, dns::RRType::kNsec);
     rrset.add(dns::ResourceRecord::make(owner, options_->negative_ttl,
                                         dns::Rdata{nsec}));
-    append(response.authorities, rrset, true);
+    append(response.authorities, std::move(rrset), true);
   }
 
-  std::string tld_;
+  std::string id_;  // "tld:<tld>"
   dns::Name apex_;
   const Universe* universe_;
   const zone::KeyPool* sld_keys_;
@@ -295,8 +301,9 @@ class SldAuthority : public sim::Endpoint {
                const WorldOptions& options)
       : universe_(&universe), keys_(&keys), options_(&options) {}
 
-  [[nodiscard]] std::string endpoint_id() const override {
-    return "auth:universe";
+  [[nodiscard]] const std::string& endpoint_id() const override {
+    static const std::string id = "auth:universe";
+    return id;
   }
 
   [[nodiscard]] std::uint64_t latency_override_us(
@@ -511,7 +518,10 @@ class PtrAuthority : public sim::Endpoint {
  public:
   explicit PtrAuthority(const WorldOptions& options) : options_(&options) {}
 
-  [[nodiscard]] std::string endpoint_id() const override { return "arpa"; }
+  [[nodiscard]] const std::string& endpoint_id() const override {
+    static const std::string id = "arpa";
+    return id;
+  }
 
   [[nodiscard]] dns::Message handle_query(const dns::Message& query) override {
     dns::Message response = dns::Message::make_response(query);

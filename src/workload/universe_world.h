@@ -13,6 +13,7 @@
 #include <string>
 
 #include "dlv/registry.h"
+#include "dns/name_map.h"
 #include "server/directory.h"
 #include "server/zone_authority.h"
 #include "workload/universe.h"
@@ -40,9 +41,12 @@ class SyntheticSigner {
   [[nodiscard]] dns::RRset dnskey_rrset() const;
 
  private:
+  /// Signatures already made for one owner name, by covered type.
+  using Memo = std::vector<std::pair<dns::RRType, dns::Bytes>>;
+
   dns::Name apex_;
   zone::ZoneKeys keys_;
-  std::map<std::pair<std::string, dns::RRType>, dns::Bytes> cache_;
+  dns::NameHashMap<Memo> cache_;  // probed by the owner's memoized hash
 };
 
 /// World-level options.

@@ -229,7 +229,9 @@ TEST(JsonlFileSinkTest, WriteFailuresAreCountedAsDropped) {
 class EchoServer : public sim::Endpoint {
  public:
   explicit EchoServer(std::string id) : id_(std::move(id)) {}
-  [[nodiscard]] std::string endpoint_id() const override { return id_; }
+  [[nodiscard]] const std::string& endpoint_id() const override {
+    return id_;
+  }
   [[nodiscard]] dns::Message handle_query(
       const dns::Message& query) override {
     return dns::Message::make_response(query);

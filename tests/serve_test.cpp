@@ -248,6 +248,52 @@ TEST(ServeScenarioTest, CoalescedRunLeaksExactlyWhatSequentialWould) {
   EXPECT_EQ(attributed, coalesced.case2_total);
 }
 
+TEST(ServeScenarioTest, CoalescedWaitersKeepCappedCacheInStepWithSequential) {
+  // Under a byte cap, which entry is evicted depends on every entry's
+  // second-chance bit and on how many maintain() ticks have run. A
+  // sequential resolver answers a repeated key from its cache, and that hit
+  // sets the bit and ticks; a coalesced waiter must do the same, or the
+  // two eviction clocks drift apart and later DLV consults differ. This
+  // schedule drifts (Case-2 43 against 45) when waiters skip it.
+  ScenarioOptions options = small_scenario();
+  options.mix.queries_per_client = 40;
+  options.mix.seed = 10;
+  options.resolver_config.max_cache_bytes = 96 * 1024;
+  serve::ServeStack served_stack(options, nullptr, nullptr, nullptr, 0, "");
+  serve::ServeStack sequential(options, nullptr, nullptr, nullptr, 0, "");
+  const std::vector<workload::ClientQuery> schedule =
+      workload::ClientMix(options.mix).generate(sequential.world->universe());
+  const std::vector<WireQuery> wire = serve::encode_schedule(schedule);
+
+  std::uint64_t coalesced = 0;
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    (void)sequential.resolver->resolve({schedule[i].name, schedule[i].type});
+    const resolver::ResolverCache& cache = served_stack.resolver->cache();
+    const std::uint64_t hits_before = cache.counters().value("cache.hit");
+    const std::uint64_t misses_before = cache.counters().value("cache.miss");
+    const Served served = served_stack.frontend->submit(wire[i]);
+    if (served.coalesced) {
+      ++coalesced;
+      // The replayed hit is bookkeeping, not a hit anyone can count.
+      EXPECT_EQ(cache.counters().value("cache.hit"), hits_before);
+      EXPECT_EQ(cache.counters().value("cache.miss"), misses_before);
+    }
+    ASSERT_EQ(cache.bytes(), sequential.resolver->cache().bytes())
+        << "cache footprint drifted at query " << i;
+    ASSERT_EQ(served_stack.case2(), sequential.case2())
+        << "Case-2 count drifted at query " << i;
+  }
+  EXPECT_GT(coalesced, 0u);
+  EXPECT_GT(sequential.resolver->cache().counters().value("cache.evicted"),
+            0u);
+
+  ScenarioSummary served_run = serve_one(options);
+  ScenarioSummary reference = serve::run_sequential_reference(options);
+  EXPECT_EQ(served_run.overload_drops, 0u);
+  EXPECT_EQ(served_run.case2_total, reference.case2_total);
+  EXPECT_EQ(served_run.leaked_domains, reference.leaked_domains);
+}
+
 TEST(ServeTest, BoundedSharedCacheStaysUnderCapAcrossClients) {
   // Every client behind the frontend populates one shared resolver cache;
   // a configured cap must hold its footprint down (evicting under

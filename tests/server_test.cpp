@@ -140,7 +140,9 @@ TEST(ServerDirectoryTest, DeepestMatchAndFallback) {
   class Dummy : public sim::Endpoint {
    public:
     explicit Dummy(std::string id) : id_(std::move(id)) {}
-    [[nodiscard]] std::string endpoint_id() const override { return id_; }
+    [[nodiscard]] const std::string& endpoint_id() const override {
+      return id_;
+    }
     [[nodiscard]] dns::Message handle_query(const dns::Message& q) override {
       return dns::Message::make_response(q);
     }

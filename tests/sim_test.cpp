@@ -18,7 +18,9 @@ class EchoServer : public Endpoint {
   explicit EchoServer(std::string id, std::uint64_t latency_override = 0)
       : id_(std::move(id)), latency_override_(latency_override) {}
 
-  [[nodiscard]] std::string endpoint_id() const override { return id_; }
+  [[nodiscard]] const std::string& endpoint_id() const override {
+    return id_;
+  }
 
   [[nodiscard]] dns::Message handle_query(const dns::Message& query) override {
     ++handled_;
@@ -331,7 +333,9 @@ TEST(FaultInjectionTest, SpikePastTimeoutBecomesPartialTimeout) {
 TEST(FaultInjectionTest, RrsigCorruptionFlipsSignatureBytes) {
   class SignedServer : public Endpoint {
    public:
-    [[nodiscard]] std::string endpoint_id() const override { return "signed"; }
+    [[nodiscard]] const std::string& endpoint_id() const override {
+      return id_;
+    }
     [[nodiscard]] dns::Message handle_query(
         const dns::Message& query) override {
       dns::Message response = dns::Message::make_response(query);
@@ -344,6 +348,9 @@ TEST(FaultInjectionTest, RrsigCorruptionFlipsSignatureBytes) {
       response.answers.push_back(std::move(sig));
       return response;
     }
+
+   private:
+    std::string id_ = "signed";
   };
   SimClock clock;
   Network network(clock);
