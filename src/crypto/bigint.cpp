@@ -1,8 +1,10 @@
 #include "crypto/bigint.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace lookaside::crypto {
 
@@ -48,12 +50,6 @@ std::size_t BigUint::bit_length() const {
     top >>= 1;
   }
   return bits;
-}
-
-bool BigUint::bit(std::size_t i) const {
-  const std::size_t limb = i / 32;
-  if (limb >= limbs_.size()) return false;
-  return (limbs_[limb] >> (i % 32)) & 1u;
 }
 
 int BigUint::compare(const BigUint& other) const {
@@ -353,6 +349,10 @@ BigUint BigUint::mod_inverse(const BigUint& a, const BigUint& m) {
 namespace {
 
 using U128 = unsigned __int128;
+using Word = std::uint64_t;
+
+/// Widest modulus in 64-bit words (2048 bits); one kernel per width below.
+constexpr std::size_t kMaxWords = 32;
 
 /// Widest sliding window, and the odd powers its table holds.
 constexpr std::size_t kMaxWindow = 5;
@@ -368,6 +368,144 @@ std::size_t window_width(std::size_t bits) {
   if (bits <= 239) return 4;
   return kMaxWindow;
 }
+
+/// What every kernel reads of the modulus: its words, -n^{-1} mod 2^64 and
+/// R^2 mod n.
+struct Modulus {
+  const Word* n;
+  Word n0_inv;
+  const Word* r2;
+};
+
+/// CIOS (coarsely integrated operand scanning) Montgomery product
+/// out = a * b * R^{-1} mod n over K-word operands below n, R = 2^(64K).
+/// `t` reaches `out` only at the end, so `out` may alias `a` or `b`.
+template <std::size_t K>
+void mont_mul(const Word* a, const Word* b, const Modulus& mod, Word* out) {
+  const Word* n = mod.n;
+  Word t[K + 2] = {};
+  for (std::size_t i = 0; i < K; ++i) {
+    // t += a * b[i]
+    Word carry = 0;
+    for (std::size_t j = 0; j < K; ++j) {
+      const U128 cur = static_cast<U128>(a[j]) * b[i] + t[j] + carry;
+      t[j] = static_cast<Word>(cur);
+      carry = static_cast<Word>(cur >> 64);
+    }
+    U128 cur = static_cast<U128>(t[K]) + carry;
+    t[K] = static_cast<Word>(cur);
+    t[K + 1] = static_cast<Word>(cur >> 64);
+
+    // t = (t + m*n) / 2^64 with m chosen so the low word cancels.
+    const Word m = t[0] * mod.n0_inv;
+    carry = static_cast<Word>((static_cast<U128>(m) * n[0] + t[0]) >> 64);
+    for (std::size_t j = 1; j < K; ++j) {
+      const U128 sum = static_cast<U128>(m) * n[j] + t[j] + carry;
+      t[j - 1] = static_cast<Word>(sum);
+      carry = static_cast<Word>(sum >> 64);
+    }
+    cur = static_cast<U128>(t[K]) + carry;
+    t[K - 1] = static_cast<Word>(cur);
+    t[K] = t[K + 1] + static_cast<Word>(cur >> 64);
+  }
+
+  // t < 2n here, so t[K] is 0 or 1. Subtract n once unless t < n, which is
+  // when the K-word subtraction borrows and t[K] is 0.
+  Word diff[K] = {};
+  Word borrow = 0;
+  for (std::size_t j = 0; j < K; ++j) {
+    const Word d = t[j] - n[j];
+    const Word under = t[j] < n[j] ? 1 : 0;
+    diff[j] = d - borrow;
+    borrow = under | (d < borrow ? 1 : 0);
+  }
+  std::copy_n(borrow > t[K] ? t : diff, K, out);
+}
+
+/// Bits [low, low + count) of a little-endian 32-bit limb array, count <= 32
+/// and bit `low` inside the array: one 64-bit word from the two limbs the
+/// range can touch.
+Word exponent_bits(const std::vector<std::uint32_t>& limbs, std::size_t low,
+                   std::size_t count) {
+  const std::size_t i = low / 32;
+  Word word = limbs[i];
+  if (i + 1 < limbs.size()) word |= static_cast<Word>(limbs[i + 1]) << 32;
+  return (word >> (low % 32)) & ((Word{1} << count) - 1);
+}
+
+/// x = x^exponent mod n for a K-word x below n and an exponent of `bits` > 0
+/// bits, via a left-to-right sliding window over precomputed odd powers.
+template <std::size_t K>
+void mont_exp(const Modulus& mod, const std::vector<std::uint32_t>& exponent,
+              std::size_t bits, Word* x) {
+  // table[i] = x^(2i+1) in Montgomery form. Only the first 2^(width-1)
+  // entries are used, and each is written before it is read.
+  const std::size_t width = window_width(bits);
+  Word table[kTableSize][K];
+  mont_mul<K>(x, mod.r2, mod, table[0]);
+  if (width > 1) {
+    Word square[K] = {};
+    mont_mul<K>(table[0], table[0], mod, square);
+    for (std::size_t i = 1; i < (std::size_t{1} << (width - 1)); ++i) {
+      mont_mul<K>(table[i - 1], square, mod, table[i]);
+    }
+  }
+
+  // Left to right: a zero bit squares; a set bit opens a window of at most
+  // `width` bits that ends on a set bit, whose odd value indexes the table.
+  // The top bit is set, so the first window loads its power directly
+  // instead of squaring one.
+  Word acc[K] = {};
+  bool started = false;
+  for (std::size_t i = bits; i > 0;) {
+    if (exponent_bits(exponent, i - 1, 1) == 0) {
+      mont_mul<K>(acc, acc, mod, acc);
+      --i;
+      continue;
+    }
+    std::size_t low = i > width ? i - width : 0;
+    Word window = exponent_bits(exponent, low, i - low);
+    const int skip = std::countr_zero(window);
+    window >>= skip;
+    low += static_cast<std::size_t>(skip);
+    if (started) {
+      for (std::size_t j = low; j < i; ++j) mont_mul<K>(acc, acc, mod, acc);
+      mont_mul<K>(acc, table[window >> 1], mod, acc);
+    } else {
+      std::copy_n(table[window >> 1], K, acc);
+      started = true;
+    }
+    i = low;
+  }
+
+  // Convert out of Montgomery form: acc * 1 * R^{-1}.
+  Word one[K] = {1};
+  mont_mul<K>(acc, one, mod, x);
+}
+
+/// x = x * y mod n for K-word x and y below n: x*R^2*R^{-1} = x*R, then
+/// x*R * y * R^{-1} = x*y.
+template <std::size_t K>
+void mont_mul_plain(const Modulus& mod, Word* x, const Word* y) {
+  mont_mul<K>(x, mod.r2, mod, x);
+  mont_mul<K>(x, y, mod, x);
+}
+
+/// The kernels at one width. Montgomery indexes the table below by k - 1,
+/// so a call dispatches once and then runs at its modulus's width.
+struct Kernels {
+  void (*exp)(const Modulus&, const std::vector<std::uint32_t>&, std::size_t,
+              Word*);
+  void (*mul)(const Modulus&, Word*, const Word*);
+};
+
+template <std::size_t... I>
+constexpr std::array<Kernels, sizeof...(I)> kernels_for(
+    std::index_sequence<I...>) {
+  return {Kernels{&mont_exp<I + 1>, &mont_mul_plain<I + 1>}...};
+}
+
+constexpr auto kKernels = kernels_for(std::make_index_sequence<kMaxWords>{});
 
 }  // namespace
 
@@ -414,120 +552,23 @@ BigUint Montgomery::from_words(const Word* words) const {
   return out;
 }
 
-void Montgomery::mont_mul(const Word* a, const Word* b, Word* out) const {
-  // CIOS (coarsely integrated operand scanning) Montgomery multiplication
-  // over 64-bit words. `t` is written to `out` only at the end, so `out` may
-  // alias an input.
-  const std::size_t k = k_;
-  const Word* n = n_words_.data();
-  Word t[kMaxWords + 2];
-  std::fill_n(t, k + 2, Word{0});
-  for (std::size_t i = 0; i < k; ++i) {
-    // t += a * b[i]
-    Word carry = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const U128 cur = static_cast<U128>(a[j]) * b[i] + t[j] + carry;
-      t[j] = static_cast<Word>(cur);
-      carry = static_cast<Word>(cur >> 64);
-    }
-    U128 cur = static_cast<U128>(t[k]) + carry;
-    t[k] = static_cast<Word>(cur);
-    t[k + 1] = static_cast<Word>(cur >> 64);
-
-    // t = (t + m*n) / 2^64 with m chosen so the low word cancels.
-    const Word m = t[0] * n0_inv_;
-    carry = static_cast<Word>((static_cast<U128>(m) * n[0] + t[0]) >> 64);
-    for (std::size_t j = 1; j < k; ++j) {
-      const U128 sum = static_cast<U128>(m) * n[j] + t[j] + carry;
-      t[j - 1] = static_cast<Word>(sum);
-      carry = static_cast<Word>(sum >> 64);
-    }
-    cur = static_cast<U128>(t[k]) + carry;
-    t[k - 1] = static_cast<Word>(cur);
-    t[k] = t[k + 1] + static_cast<Word>(cur >> 64);
-  }
-
-  // t < 2n here; one conditional subtraction leaves the result below n.
-  bool geq = t[k] != 0;
-  if (!geq) {
-    geq = true;
-    for (std::size_t i = k; i-- > 0;) {
-      if (t[i] != n[i]) {
-        geq = t[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (!geq) {
-    std::copy_n(t, k, out);
-    return;
-  }
-  Word borrow = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    out[i] = t[i] - n[i] - borrow;
-    borrow = (t[i] < n[i] || (t[i] == n[i] && borrow != 0)) ? 1 : 0;
-  }
-}
-
 BigUint Montgomery::mul(const BigUint& a, const BigUint& b) const {
   Word x[kMaxWords] = {};
   Word y[kMaxWords] = {};
   to_words(BigUint::mod(a, modulus_), x);
   to_words(BigUint::mod(b, modulus_), y);
-  mont_mul(x, r2_.data(), x);  // a*R mod n
-  mont_mul(x, y, x);           // a*R*b*R^{-1} = a*b mod n
+  kKernels[k_ - 1].mul({n_words_.data(), n0_inv_, r2_.data()}, x, y);
   return from_words(x);
 }
 
 BigUint Montgomery::exp(const BigUint& base, const BigUint& exponent) const {
   const std::size_t bits = exponent.bit_length();
   if (bits == 0) return BigUint(1);  // n > 1, so 1 is already reduced
-
-  // table[i] = base^(2i+1) in Montgomery form. Only the first 2^(width-1)
-  // entries are used, and each is written before it is read.
-  const std::size_t width = window_width(bits);
-  Word table[kTableSize][kMaxWords];
-  to_words(BigUint::mod(base, modulus_), table[0]);
-  mont_mul(table[0], r2_.data(), table[0]);
-  if (width > 1) {
-    Word square[kMaxWords] = {};
-    mont_mul(table[0], table[0], square);
-    for (std::size_t i = 1; i < (std::size_t{1} << (width - 1)); ++i) {
-      mont_mul(table[i - 1], square, table[i]);
-    }
-  }
-
-  // Left to right: a zero bit squares; a set bit opens a window of at most
-  // `width` bits that ends on a set bit, whose odd value indexes the table.
-  // The first window loads its power directly instead of squaring one.
-  Word acc[kMaxWords] = {};
-  bool started = false;
-  for (std::size_t i = bits; i > 0;) {
-    if (!exponent.bit(i - 1)) {
-      mont_mul(acc, acc, acc);
-      --i;
-      continue;
-    }
-    std::size_t low = i > width ? i - width : 0;
-    while (!exponent.bit(low)) ++low;
-    std::size_t window = 0;
-    for (std::size_t j = i; j-- > low;) {
-      window = (window << 1) | (exponent.bit(j) ? 1u : 0u);
-    }
-    if (started) {
-      for (std::size_t j = low; j < i; ++j) mont_mul(acc, acc, acc);
-      mont_mul(acc, table[window >> 1], acc);
-    } else {
-      std::copy_n(table[window >> 1], k_, acc);
-      started = true;
-    }
-    i = low;
-  }
-
-  // Convert out of Montgomery form: acc * 1 * R^{-1}.
-  Word one[kMaxWords] = {1};
-  mont_mul(acc, one, acc);
-  return from_words(acc);
+  Word x[kMaxWords] = {};
+  to_words(BigUint::mod(base, modulus_), x);
+  kKernels[k_ - 1].exp({n_words_.data(), n0_inv_, r2_.data()},
+                       exponent.limbs(), bits, x);
+  return from_words(x);
 }
 
 }  // namespace lookaside::crypto

@@ -2,9 +2,14 @@
 //
 // Sized for DNSSEC simulation: moduli of 256-2048 bits. BigUint stores 32-bit
 // limbs and divides with Knuth's Algorithm D on 64-bit intermediates. The
-// Montgomery kernel works on 64-bit words with `unsigned __int128` products
-// (a GCC/Clang extension), keeps its scratch in fixed stack arrays, and
-// exponentiates with a left-to-right sliding window.
+// Montgomery kernel is one CIOS product and one left-to-right sliding-window
+// exponentiation, templated on the modulus's 64-bit word count K and
+// instantiated for every K from 1 to 32. `exp` and `mul` dispatch once per
+// call on the modulus's width, so the product's loops, its scratch and the
+// window table are all sized at compile time. Products use
+// `unsigned __int128` (a GCC/Clang extension); the exponent is read through
+// 64-bit words. A 128-bit exponentiation (one half of a 256-bit CRT sign)
+// costs about 2.4 us on a 4-vCPU shared host (gcc 12, -O2).
 #pragma once
 
 #include <cstdint>
@@ -33,8 +38,6 @@ class BigUint {
   }
   /// Number of significant bits; 0 for zero.
   [[nodiscard]] std::size_t bit_length() const;
-  /// Value of bit `i` (LSB = 0); bits beyond bit_length() read as 0.
-  [[nodiscard]] bool bit(std::size_t i) const;
 
   /// Three-way comparison: -1, 0, or +1.
   [[nodiscard]] int compare(const BigUint& other) const;
@@ -111,12 +114,7 @@ class Montgomery {
 
  private:
   using Word = std::uint64_t;
-  /// Widest supported modulus: 2048 bits.
-  static constexpr std::size_t kMaxWords = 32;
 
-  /// Montgomery product out = a * b * R^{-1} mod n over k-word operands
-  /// below n; `out` may alias `a` or `b`.
-  void mont_mul(const Word* a, const Word* b, Word* out) const;
   /// Writes a value below n as k words.
   void to_words(const BigUint& value, Word* out) const;
   [[nodiscard]] BigUint from_words(const Word* words) const;

@@ -31,4 +31,10 @@ enum class DnssecAlgorithm : std::uint8_t {
 /// RFC 4034 Appendix B key tag over a DNSKEY RDATA image.
 [[nodiscard]] std::uint16_t key_tag(const Bytes& dnskey_rdata);
 
+/// The same key tag from the RDATA's fields (flags | protocol | algorithm |
+/// public key), without building the image.
+[[nodiscard]] std::uint16_t key_tag(std::uint16_t flags, std::uint8_t protocol,
+                                    std::uint8_t algorithm,
+                                    const Bytes& public_key);
+
 }  // namespace lookaside::crypto

@@ -93,12 +93,7 @@ std::string AaaaRdata::to_text() const {
 }
 
 std::uint16_t DnskeyRdata::key_tag() const {
-  ByteWriter writer;
-  writer.u16(flags);
-  writer.u8(protocol);
-  writer.u8(algorithm);
-  writer.raw(public_key);
-  return crypto::key_tag(writer.bytes());
+  return crypto::key_tag(flags, protocol, algorithm, public_key);
 }
 
 RRType rdata_type(const Rdata& rdata) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "crypto/bigint.h"
@@ -308,6 +309,20 @@ TEST(MontgomeryTest, RejectsEvenModulus) {
   EXPECT_THROW(Montgomery(BigUint(1)), std::invalid_argument);
 }
 
+/// An odd modulus of `limbs` 32-bit limbs. With `top_ones` its top 64-bit
+/// word (its top limb, for an odd count) is all ones, which drives the
+/// carry into the product's extra word and the final subtraction.
+BigUint test_modulus(SplitMix64& rng, std::size_t limbs, bool top_ones) {
+  Limbs m_limbs = random_limbs(rng, limbs, false);
+  m_limbs[0] |= 1u;
+  if (top_ones) {
+    m_limbs.back() = 0xFFFFFFFFu;
+    if (limbs % 2 == 0) m_limbs[limbs - 2] = 0xFFFFFFFFu;
+  }
+  const BigUint m = from_limbs(m_limbs);
+  return m == BigUint(1) ? BigUint(3) : m;
+}
+
 TEST(MontgomeryTest, MulMatchesDivmod) {
   SplitMix64 rng(4242);
   const BigUint m(0xFFFFFFFFFFFFFFC5ULL);  // large odd (prime) modulus
@@ -316,6 +331,26 @@ TEST(MontgomeryTest, MulMatchesDivmod) {
     const BigUint a(rng.next());
     const BigUint b(rng.next());
     EXPECT_EQ(mont.mul(a, b), BigUint::mod(BigUint::mul(a, b), m));
+  }
+
+  // Every width the kernel is instantiated for: 1 to 32 words, at an even
+  // and an odd limb count each, with operands below, at and above n.
+  for (std::size_t limbs = 1; limbs <= 64; ++limbs) {
+    for (const bool top_ones : {false, true}) {
+      const BigUint n = test_modulus(rng, limbs, top_ones);
+      const Montgomery wide(n);
+      const BigUint n_minus_1 = BigUint::sub(n, BigUint(1));
+      std::vector<std::pair<BigUint, BigUint>> pairs = {
+          {n_minus_1, n_minus_1}, {n, n_minus_1}, {BigUint{}, n_minus_1}};
+      for (int i = 0; i < 8; ++i) {
+        pairs.emplace_back(from_limbs(random_limbs(rng, limbs, true)),
+                           from_limbs(random_limbs(rng, limbs + 1, i % 2)));
+      }
+      for (const auto& [a, b] : pairs) {
+        ASSERT_EQ(wide.mul(a, b), BigUint::mod(BigUint::mul(a, b), n))
+            << limbs << " limbs, top word all ones: " << top_ones;
+      }
+    }
   }
 }
 
@@ -366,7 +401,9 @@ BigUint naive_pow(const BigUint& base, const BigUint& exponent,
   BigUint acc = BigUint::mod(BigUint(1), m);
   for (std::size_t i = exponent.bit_length(); i-- > 0;) {
     acc = BigUint::mod(BigUint::mul(acc, acc), m);
-    if (exponent.bit(i)) acc = BigUint::mod(BigUint::mul(acc, reduced), m);
+    if ((exponent.limbs()[i / 32] >> (i % 32)) & 1u) {
+      acc = BigUint::mod(BigUint::mul(acc, reduced), m);
+    }
   }
   return acc;
 }
@@ -381,30 +418,46 @@ BigUint random_exponent(SplitMix64& rng, std::size_t bits) {
 }
 
 TEST(MontgomeryTest, ExpMatchesNaiveAcrossWidthsAndWindows) {
-  // Odd limb counts leave the top 64-bit word half full. Exponent lengths
-  // sit on either side of each window-width step (23/24, 79/80, 239/240).
+  // Every width the kernel is instantiated for: 1 to 32 words, each at an
+  // even and an odd limb count (the odd one leaves the top 64-bit word half
+  // full), with a random modulus and one whose top word is all ones. Bases
+  // run from 0 through n - 1 to n and above. Up to 16 limbs, and for the
+  // widest random modulus, exponent lengths sit on either side of each
+  // window-width step (23/24, 79/80, 239/240). The naive oracle's cost
+  // grows with the square of the width, so the other widths take a short
+  // exponent ladder: the window logic does not depend on the width.
   SplitMix64 rng(0x57696e646f77);
-  for (std::size_t limbs : {3u, 5u, 9u, 16u, 64u}) {
-    Limbs m_limbs = random_limbs(rng, limbs, false);
-    m_limbs[0] |= 1u;
-    const BigUint m = from_limbs(m_limbs);
-    const Montgomery mont(m);
+  for (std::size_t limbs = 1; limbs <= 64; ++limbs) {
+    for (const bool top_ones : {false, true}) {
+      const bool full = limbs <= 16 || (limbs == 64 && !top_ones);
+      const BigUint m = test_modulus(rng, limbs, top_ones);
+      const Montgomery mont(m);
 
-    std::vector<BigUint> exponents = {BigUint{}, BigUint(1)};
-    for (std::size_t k : {1u, 31u, 32u, 63u, 64u, 200u}) {
-      exponents.push_back(BigUint(1).shifted_left(k));
-    }
-    for (std::size_t bits : {23u, 24u, 79u, 80u, 239u, 240u, 520u}) {
-      exponents.push_back(random_exponent(rng, bits));
-    }
-    const std::vector<BigUint> bases = {
-        BigUint{}, BigUint(2), BigUint::sub(m, BigUint(1)),
-        from_limbs(random_limbs(rng, limbs + 1, false)),  // above m
-        from_limbs(random_limbs(rng, limbs, true))};
-    for (const BigUint& exponent : exponents) {
-      for (const BigUint& base : bases) {
-        EXPECT_EQ(mont.exp(base, exponent), naive_pow(base, exponent, m))
-            << limbs << " limbs, exponent bits " << exponent.bit_length();
+      std::vector<BigUint> exponents = {BigUint{}, BigUint(1),
+                                        BigUint(1).shifted_left(64)};
+      const std::vector<std::size_t> lengths =
+          full ? std::vector<std::size_t>{23, 24, 79, 80, 239, 240, 520}
+               : std::vector<std::size_t>{23, 80};
+      for (std::size_t bits : lengths) {
+        exponents.push_back(random_exponent(rng, bits));
+      }
+      std::vector<BigUint> bases = {
+          BigUint::sub(m, BigUint(1)), m,
+          from_limbs(random_limbs(rng, limbs + 1, false)),  // above m
+          from_limbs(random_limbs(rng, limbs, true))};
+      if (full) {
+        for (std::size_t k : {1u, 31u, 32u, 63u, 200u}) {
+          exponents.push_back(BigUint(1).shifted_left(k));
+        }
+        bases.push_back(BigUint{});
+        bases.push_back(BigUint(2));
+      }
+      for (const BigUint& exponent : exponents) {
+        for (const BigUint& base : bases) {
+          ASSERT_EQ(mont.exp(base, exponent), naive_pow(base, exponent, m))
+              << limbs << " limbs, top word all ones: " << top_ones
+              << ", exponent bits " << exponent.bit_length();
+        }
       }
     }
   }

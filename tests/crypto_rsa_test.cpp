@@ -1,6 +1,8 @@
 // Unit tests for RSA keygen/sign/verify and the DNSSEC algorithm façade.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "crypto/dnssec_algo.h"
 #include "crypto/rng.h"
 #include "crypto/rsa.h"
@@ -145,6 +147,49 @@ TEST(RsaTest, GoldenSignaturesAreByteIdentical) {
     const Bytes signature = sign_message(kp.private_key, message);
     EXPECT_EQ(to_hex(signature), golden.signature) << golden.bits << "-bit key";
     EXPECT_TRUE(verify_message(kp.public_key, message, signature));
+  }
+}
+
+/// A prime of exactly `bits` bits with its top two bits set, so a product
+/// of two reaches the full modulus width.
+BigUint test_prime(std::size_t bits, SplitMix64& rng) {
+  for (;;) {
+    Bytes raw(bits / 8);
+    rng.fill(raw);
+    raw[0] |= 0xC0;
+    raw.back() |= 0x01;
+    const BigUint candidate = BigUint::from_bytes_be(raw);
+    if (is_probable_prime(candidate, rng)) return candidate;
+  }
+}
+
+TEST(RsaTest, CrtAndPlainSigningAgree) {
+  // The CRT path (two half-width exponentiations and Garner's
+  // recombination) and the plain full-width s = m^d mod n run the kernel at
+  // different widths; both must give the unique residue, byte for byte.
+  // 288 bits gives 144-bit primes, whose top 64-bit word is a quarter full.
+  SplitMix64 rng(0x435254);
+  const BigUint e(65537);
+  for (std::size_t bits : {256u, 288u, 512u, 1024u}) {
+    BigUint p, q, phi;
+    do {
+      p = test_prime(bits / 2, rng);
+      q = test_prime(bits / 2, rng);
+      phi = BigUint::mul(BigUint::sub(p, BigUint(1)),
+                         BigUint::sub(q, BigUint(1)));
+    } while (p == q || BigUint::gcd(e, phi) != BigUint(1));
+    const BigUint n = BigUint::mul(p, q);
+    ASSERT_EQ(n.bit_length(), bits);
+    const BigUint d = BigUint::mod_inverse(e, phi);
+    const RsaPublicKey pub(n, e);
+    const RsaPrivateKey plain(pub, d);
+    const RsaPrivateKey crt(pub, d, p, q);
+    for (int i = 0; i < 16; ++i) {
+      const Bytes digest = Sha256::digest("crt " + std::to_string(i));
+      const Bytes signature = crt.sign_digest(digest);
+      ASSERT_EQ(signature, plain.sign_digest(digest)) << bits << "-bit key";
+      EXPECT_TRUE(pub.verify_digest(digest, signature)) << bits << "-bit key";
+    }
   }
 }
 

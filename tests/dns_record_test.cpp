@@ -2,8 +2,11 @@
 // the byte strings DNSSEC signatures actually cover.
 #include <gtest/gtest.h>
 
+#include "crypto/dnssec_algo.h"
+#include "crypto/rng.h"
 #include "crypto/sha256.h"
 #include "dns/record.h"
+#include "dns/wire_io.h"
 
 namespace lookaside::dns {
 namespace {
@@ -124,6 +127,35 @@ TEST(DnskeyTest, KeyTagStableAndFlagSensitive) {
   EXPECT_NE(zsk.key_tag(), ksk.key_tag());
   const DnskeyRdata zsk_copy{0x0100, 3, 8, {1, 2, 3, 4}};
   EXPECT_EQ(zsk.key_tag(), zsk_copy.key_tag());
+}
+
+/// The RDATA's wire image as the codec writes it.
+crypto::Bytes dnskey_wire(const DnskeyRdata& key) {
+  ByteWriter writer;
+  encode_rdata(Rdata{key}, writer);
+  return writer.bytes();
+}
+
+TEST(DnskeyTest, KeyTagFromFieldsMatchesWireImage) {
+  // The fixture of KeyTagTest.MatchesReferenceAlgorithm as fields:
+  // 0x0101 + 0x0308 + 0x0301 + 0x0001 = 0x070B.
+  const DnskeyRdata fixture{0x0101, 3, 8, {0x03, 0x01, 0x00, 0x01}};
+  EXPECT_EQ(fixture.key_tag(), 0x070B);
+  EXPECT_EQ(fixture.key_tag(), crypto::key_tag(dnskey_wire(fixture)));
+
+  // Random fields and keys of every parity, empty included, up to lengths
+  // whose sums wrap the 16-bit fold.
+  crypto::SplitMix64 rng(0x4b6579546167);
+  for (int i = 0; i < 2000; ++i) {
+    DnskeyRdata key;
+    key.flags = static_cast<std::uint16_t>(rng.next());
+    key.protocol = static_cast<std::uint8_t>(rng.next());
+    key.algorithm = static_cast<std::uint8_t>(rng.next());
+    key.public_key.resize(rng.next_below(i < 1000 ? 40 : 600));
+    rng.fill(key.public_key);
+    ASSERT_EQ(key.key_tag(), crypto::key_tag(dnskey_wire(key)))
+        << "key " << i << ", " << key.public_key.size() << " key bytes";
+  }
 }
 
 }  // namespace
