@@ -7,6 +7,9 @@
 //     over a large vector of distinct prebuilt names (a sub-ns field read
 //     only resolves over a batch that outlasts timer and loop overhead)
 //   - name.intern_ns: steady-state NameArena intern (the dedup path)
+//   - name.canonical_compare_ns: RFC 4034 canonical order between
+//     DLV-shaped siblings under one three-label apex (the compare behind
+//     NSEC chains and zone neighbor queries)
 //   - dns.wire_size_ns: dns::wire_size of a signed DLV NXDOMAIN response
 //     (the size-only encoder sim::Network prices every packet with)
 //   - cache.probe_hit_ns:            positive-cache hit probes
@@ -52,6 +55,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -245,6 +249,23 @@ int main(int argc, char** argv) {
       1, hash_batch, [](const dns::Name& name) { return name.hash(); });
   hash_batch = {};
 
+  // Siblings "<label>.com.dlv.isc.org": a 15-byte common tail, then labels
+  // that differ in their last bytes.
+  std::vector<std::pair<dns::Name, dns::Name>> sibling_pairs;
+  const std::size_t sibling_count = quick ? 2'000 : 20'000;
+  sibling_pairs.reserve(sibling_count);
+  for (std::size_t i = 0; i < sibling_count; ++i) {
+    const auto sibling = [](std::size_t k) {
+      return dns::Name::parse("site-" + std::to_string(k) + ".com.dlv.isc.org");
+    };
+    sibling_pairs.emplace_back(sibling(i), sibling(i * 7919 % sibling_count));
+  }
+  const double canonical_compare_ns =
+      per_item_ns(quick ? 20 : 200, sibling_pairs, [](const auto& pair) {
+        return static_cast<std::uint64_t>(
+            pair.first.canonical_compare(pair.second) + 1);
+      });
+
   // --- dns codec: size-only encode ----------------------------------------
   const dns::Message dlv_denial = sample_dlv_denial();
   const double wire_size_ns = fastest_ns_per_op(
@@ -425,6 +446,9 @@ int main(int argc, char** argv) {
   metrics::Table table({"Metric", "Value"});
   table.row().cell("name parse (ns)").cell(fixed(parse_ns, 1));
   table.row().cell("name cached hash (ns)").cell(fixed(hash_ns, 2));
+  table.row()
+      .cell("name canonical compare, DLV siblings (ns)")
+      .cell(fixed(canonical_compare_ns, 1));
   table.row().cell("dns wire_size, DLV denial (ns)").cell(fixed(wire_size_ns, 1));
   table.row().cell("name intern, steady state (ns)").cell(fixed(intern_ns, 1));
   table.row().cell("cache probe hit (ns)").cell(fixed(probe_hit_ns, 1));
@@ -478,7 +502,8 @@ int main(int argc, char** argv) {
       ", \"probe_negative_nsec_ns\": " + fixed(probe_nsec_ns, 2) + "},\n" +
       "  \"name\": {\"parse_ns\": " + fixed(parse_ns, 2) +
       ", \"hash_ns\": " + fixed(hash_ns, 3) +
-      ", \"intern_ns\": " + fixed(intern_ns, 2) + "},\n" +
+      ", \"intern_ns\": " + fixed(intern_ns, 2) +
+      ", \"canonical_compare_ns\": " + fixed(canonical_compare_ns, 2) + "},\n" +
       "  \"dns\": {\"wire_size_ns\": " + fixed(wire_size_ns, 2) + "},\n" +
       "  \"verify\": {\"batch_lookup_ns\": " + fixed(batch_lookup_ns, 2) +
       ", \"batch_unique\": " + std::to_string(batch_unique) +

@@ -1,6 +1,7 @@
 #include "crypto/rsa.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "crypto/sha256.h"
 
@@ -43,8 +44,11 @@ BigUint random_odd_with_top_bits(std::size_t bits, SplitMix64& rng) {
   return BigUint::from_bytes_be(bytes);
 }
 
-BigUint generate_prime(std::size_t bits, SplitMix64& rng) {
-  for (;;) {
+}  // namespace
+
+BigUint generate_prime(std::size_t bits, SplitMix64& rng,
+                       std::size_t max_candidates) {
+  for (std::size_t tried = 0; tried < max_candidates; ++tried) {
     BigUint candidate = random_odd_with_top_bits(bits, rng);
     bool divisible = false;
     for (std::uint32_t p : kSmallPrimes) {
@@ -56,9 +60,10 @@ BigUint generate_prime(std::size_t bits, SplitMix64& rng) {
     if (divisible) continue;
     if (is_probable_prime(candidate, rng)) return candidate;
   }
+  throw std::runtime_error("generate_prime: no " + std::to_string(bits) +
+                           "-bit prime in " + std::to_string(max_candidates) +
+                           " candidates");
 }
-
-}  // namespace
 
 bool is_probable_prime(const BigUint& candidate, SplitMix64& rng, int rounds) {
   if (candidate < BigUint(2)) return false;
@@ -207,8 +212,9 @@ RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, SplitMix64& rng) {
   }
   const BigUint e(65537);
   for (;;) {
-    const BigUint p = generate_prime(modulus_bits / 2, rng);
-    const BigUint q = generate_prime(modulus_bits / 2, rng);
+    const std::size_t bits = modulus_bits / 2;
+    const BigUint p = generate_prime(bits, rng, prime_candidate_budget(bits));
+    const BigUint q = generate_prime(bits, rng, prime_candidate_budget(bits));
     if (p == q) continue;
     const BigUint n = BigUint::mul(p, q);
     if (n.bit_length() != modulus_bits) continue;

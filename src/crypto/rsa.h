@@ -80,6 +80,21 @@ struct RsaKeyPair {
 [[nodiscard]] RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits,
                                               SplitMix64& rng);
 
+/// Candidates generate_prime may draw for a `bits`-bit prime: 64 per bit. A
+/// random odd b-bit integer is prime with probability about 2 / (b ln 2),
+/// so a search needs about 0.35 b candidates on average and exhausts 64 b
+/// with probability below e^-180. Running out means the primality test is
+/// broken, and keygen then fails at once instead of searching forever.
+[[nodiscard]] constexpr std::size_t prime_candidate_budget(std::size_t bits) {
+  return 64 * bits;
+}
+
+/// A random `bits`-bit probable prime with its top two bits set, drawn from
+/// `rng`. Throws std::runtime_error when `max_candidates` candidates hold no
+/// prime.
+[[nodiscard]] BigUint generate_prime(std::size_t bits, SplitMix64& rng,
+                                     std::size_t max_candidates);
+
 /// Miller-Rabin primality test with `rounds` random bases. Exposed for tests.
 [[nodiscard]] bool is_probable_prime(const BigUint& candidate, SplitMix64& rng,
                                      int rounds = 24);

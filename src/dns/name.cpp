@@ -1,6 +1,8 @@
 #include "dns/name.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 namespace lookaside::dns {
@@ -123,27 +125,53 @@ Name Name::without_suffix(const Name& ancestor) const {
 }
 
 int Name::canonical_compare(const Name& other) const {
-  // Fast path: equal names compare equal without walking labels. The cached
-  // hash rejects almost all unequal pairs before the byte compare.
-  if (hash_ == other.hash_ && text_ == other.text_) return 0;
-  // RFC 4034 §6.1: compare label sequences right to left; each label
-  // byte-wise (we are already lowercase); absent labels sort first.
-  std::string_view a = text_;
-  std::string_view b = other.text_;
-  while (!a.empty() && !b.empty()) {
-    const std::size_t dot_a = a.rfind('.');
-    const std::size_t dot_b = b.rfind('.');
-    const std::string_view label_a =
-        dot_a == std::string_view::npos ? a : a.substr(dot_a + 1);
-    const std::string_view label_b =
-        dot_b == std::string_view::npos ? b : b.substr(dot_b + 1);
-    const int cmp = label_a.compare(label_b);
-    if (cmp != 0) return cmp < 0 ? -1 : 1;
-    a = dot_a == std::string_view::npos ? std::string_view{} : a.substr(0, dot_a);
-    b = dot_b == std::string_view::npos ? std::string_view{} : b.substr(0, dot_b);
+  // RFC 4034 §6.1: label sequences compare right to left, each label as
+  // unsigned bytes (already lowercase), absent labels first. Two names
+  // agree on every label inside their common byte tail, so only one label
+  // pair needs comparing: the one holding the last differing byte.
+  const std::size_t na = text_.size();
+  const std::size_t nb = other.text_.size();
+  if (na == 0 || nb == 0) return na == nb ? 0 : (na == 0 ? -1 : 1);
+  const char* a = text_.data();
+  const char* b = other.text_.data();
+  const std::size_t shorter = std::min(na, nb);
+  std::size_t tail = 0;  // length of the common byte suffix
+  while (tail + 8 <= shorter) {
+    std::uint64_t wa;
+    std::uint64_t wb;
+    std::memcpy(&wa, a + na - tail - 8, 8);
+    std::memcpy(&wb, b + nb - tail - 8, 8);
+    if (wa != wb) break;
+    tail += 8;
   }
-  if (a.empty() != b.empty()) return a.empty() ? -1 : 1;
-  return 0;
+  while (tail < shorter && a[na - tail - 1] == b[nb - tail - 1]) ++tail;
+  if (tail == na || tail == nb) {
+    if (na == nb) return 0;
+    // One text is a byte suffix of the other: a label-boundary suffix is
+    // an ancestor, which sorts first.
+    if (tail == na && b[nb - tail - 1] == '.') return -1;
+    if (tail == nb && a[na - tail - 1] == '.') return 1;
+  }
+  // The differing labels end at the leftmost dot inside the common tail
+  // (every label right of it is equal), or at the end of both texts.
+  const auto* dot =
+      static_cast<const char*>(std::memchr(a + na - tail, '.', tail));
+  const std::size_t equal_suffix =
+      dot == nullptr ? 0 : static_cast<std::size_t>(a + na - dot);
+  // Each differing label starts after the last dot before the common tail.
+  const auto label_start = [tail](const char* text, std::size_t size) {
+    const auto* prev =
+        static_cast<const char*>(memrchr(text, '.', size - tail));
+    return prev == nullptr ? std::size_t{0}
+                           : static_cast<std::size_t>(prev - text) + 1;
+  };
+  const std::size_t sa = label_start(a, na);
+  const std::size_t sb = label_start(b, nb);
+  const std::size_t la = na - equal_suffix - sa;
+  const std::size_t lb = nb - equal_suffix - sb;
+  const int cmp = std::memcmp(a + sa, b + sb, std::min(la, lb));
+  if (cmp != 0) return cmp < 0 ? -1 : 1;
+  return la == lb ? 0 : (la < lb ? -1 : 1);
 }
 
 std::string Name::to_text() const {

@@ -32,7 +32,7 @@ constexpr std::size_t kRecordOverhead = 48;   // ResourceRecord + rdata variant
 constexpr std::size_t kPositiveOverhead = 96; // boxed entry + slot bookkeeping
 constexpr std::size_t kNegativeOverhead = 24; // deadline + flags + slot
 constexpr std::size_t kServfailOverhead = 16; // deadline + slot
-constexpr std::size_t kNsecOverhead = 64;     // map node + entry fields
+constexpr std::size_t kNsecOverhead = 64;     // boxed entry + chain slot
 constexpr std::size_t kZoneCutOverhead = 16;  // deadline + slot
 
 }  // namespace
@@ -62,13 +62,13 @@ std::size_t ResolverCache::servfail_cost(const dns::Name& name) {
   return kServfailOverhead + name_cost(name);
 }
 
-std::size_t ResolverCache::nsec_cost(const dns::Name& owner,
-                                     const NsecEntry& entry) const {
+std::size_t ResolverCache::nsec_cost(const NsecEntry& entry) const {
   // entry.next is interned; the cost formula still charges for the full
   // name as if it were copied inline. Frozen deliberately: accounted cost
   // drives eviction order, which the PR-5 cap-sweep Case-2 series pins —
   // interning shrinks real memory (see arena_bytes()), not accounted bytes.
-  return kNsecOverhead + name_cost(owner) + name_cost(arena_.name(entry.next)) +
+  return kNsecOverhead + name_cost(entry.owner) +
+         name_cost(arena_.name(entry.next)) +
          entry.types.size() * sizeof(dns::RRType);
 }
 
@@ -258,40 +258,53 @@ bool ResolverCache::find_servfail(const dns::Name& name, dns::RRType type) {
 
 // -- Aggressive NSEC cache ---------------------------------------------------
 
+namespace {
+
+// Binary searches over a chain sorted by owner in canonical order.
+template <typename Chain>
+auto chain_lower_bound(Chain& chain, const dns::Name& name) {
+  return std::lower_bound(chain.begin(), chain.end(), name,
+                          [](const auto& entry, const dns::Name& n) {
+                            return entry->owner.canonical_compare(n) < 0;
+                          });
+}
+
+template <typename Chain>
+auto chain_upper_bound(Chain& chain, const dns::Name& name) {
+  return std::upper_bound(chain.begin(), chain.end(), name,
+                          [](const dns::Name& n, const auto& entry) {
+                            return n.canonical_compare(entry->owner) < 0;
+                          });
+}
+
+}  // namespace
+
 void ResolverCache::store_nsec(const dns::Name& zone_apex,
                                const dns::ResourceRecord& nsec_record) {
   const auto* nsec = std::get_if<dns::NsecRdata>(&nsec_record.rdata);
   if (nsec == nullptr) return;
-  NsecEntry entry;
-  entry.next = arena_.intern(nsec->next);
-  entry.types = nsec->types;
-  entry.expires_us = ttl_to_deadline(now(), nsec_record.ttl);
-  entry.cost = static_cast<std::uint32_t>(nsec_cost(nsec_record.name, entry));
-  charge(entry.cost);
+  auto entry = std::make_unique<NsecEntry>();
+  entry->owner = nsec_record.name;
+  entry->next = arena_.intern(nsec->next);
+  entry->types = nsec->types;
+  entry->expires_us = ttl_to_deadline(now(), nsec_record.ttl);
+  entry->cost = static_cast<std::uint32_t>(nsec_cost(*entry));
+  charge(entry->cost);
   if (shared_ != nullptr) {
     // Write-through: sibling shards can then suppress the same denial
     // without their own registry round trip (and its Case-2 leak).
     shared_->store_nsec(zone_apex, nsec_record.name,
-                        {nsec->next, entry.types, entry.expires_us,
+                        {nsec->next, entry->types, entry->expires_us,
                          shard_id_});
   }
-  NsecZone& zone = nsec_by_zone_.get_or_insert(zone_apex);
-  NsecEntry& slot = zone.chain[nsec_record.name];
-  if (slot.cost != 0) {
-    release(slot.cost);  // overwrite of an existing owner: no new node
+  NsecChain& chain = nsec_by_zone_.get_or_insert(zone_apex).chain;
+  const auto it = chain_lower_bound(chain, nsec_record.name);
+  if (it != chain.end() && (*it)->owner == nsec_record.name) {
+    release((*it)->cost);  // overwrite of an existing owner
+    *it = std::move(entry);
   } else {
-    ++zone.generation;  // structural insert invalidates the span index
+    chain.insert(it, std::move(entry));
   }
-  slot = std::move(entry);
-}
-
-void ResolverCache::rebuild_span_index(NsecZone& zone) {
-  zone.index.clear();
-  zone.index.reserve(zone.chain.size());
-  // std::map iterates in canonical order, so the array is born sorted;
-  // map nodes are pointer-stable, so the pointers outlive rehash-free use.
-  for (auto& node : zone.chain) zone.index.push_back(&node);
-  zone.index_generation = zone.generation;
 }
 
 NsecCoverage classify_nsec_span(const dns::Name& zone_apex,
@@ -343,14 +356,13 @@ NsecCoverage classify_nsec_span(const dns::Name& zone_apex,
 }
 
 NsecCoverage ResolverCache::classify_nsec_entry(const dns::Name& zone_apex,
-                                                const dns::Name& owner,
                                                 NsecEntry& entry,
                                                 const dns::Name& qname,
                                                 dns::RRType qtype,
                                                 std::uint64_t* expires_us,
                                                 bool* stop_shared) {
   const NsecCoverage coverage =
-      classify_nsec_span(zone_apex, owner, arena_.name(entry.next),
+      classify_nsec_span(zone_apex, entry.owner, arena_.name(entry.next),
                          entry.types, qname, qtype, stop_shared);
   if (coverage != NsecCoverage::kNoProof) {
     entry.referenced = true;
@@ -361,37 +373,25 @@ NsecCoverage ResolverCache::classify_nsec_entry(const dns::Name& zone_apex,
   return coverage;
 }
 
-ResolverCache::NsecChain::value_type* ResolverCache::span_predecessor(
+ResolverCache::NsecEntry* ResolverCache::span_predecessor(
     const dns::Name& zone_apex, NsecZone& zone, const dns::Name& qname) {
-  // Fast path: binary-search the span index for the greatest owner <=
-  // qname. A live candidate answers in one probe.
-  if (zone.index_generation != zone.generation) rebuild_span_index(zone);
-  const auto candidate = std::upper_bound(
-      zone.index.begin(), zone.index.end(), qname,
-      [](const dns::Name& q, const NsecChain::value_type* node) {
-        return q.canonical_compare(node->first) < 0;
-      });
-  if (candidate == zone.index.begin()) return nullptr;
-  NsecChain::value_type* node = *(candidate - 1);
-  if (node->second.expires_us > now()) return node;
-
-  // Expired candidate: walk the ordered chain instead. Expired entries met
-  // on the walk are reclaimed and skipped — a stale closer entry must not
-  // shadow a live covering proof further left in the chain. Each erase
-  // bumps the generation and so invalidates the index.
+  // The greatest owner <= qname sits just left of the upper bound. A live
+  // candidate answers at once. Expired entries met walking left are
+  // reclaimed and skipped — a stale closer entry must not shadow a live
+  // covering proof further left in the chain.
   NsecChain& chain = zone.chain;
-  auto it = chain.upper_bound(qname);
-  for (;;) {
-    if (it == chain.begin()) {
-      if (chain.empty()) nsec_by_zone_.erase(zone_apex);
+  const auto candidate = chain_upper_bound(chain, qname);
+  auto live = candidate;
+  while (live != chain.begin() && (*(live - 1))->expires_us <= now()) --live;
+  if (live != candidate) {
+    for (auto it = live; it != candidate; ++it) release((*it)->cost);
+    live = chain.erase(live, candidate);
+    if (chain.empty()) {
+      nsec_by_zone_.erase(zone_apex);
       return nullptr;
     }
-    --it;
-    if (it->second.expires_us > now()) return &*it;
-    release(it->second.cost);
-    it = chain.erase(it);
-    ++zone.generation;
   }
+  return live == chain.begin() ? nullptr : (live - 1)->get();
 }
 
 NsecCoverage ResolverCache::nsec_lookup(const dns::Name& zone_apex,
@@ -401,13 +401,12 @@ NsecCoverage ResolverCache::nsec_lookup(const dns::Name& zone_apex,
                                         bool* from_shared) {
   if (!qname.is_subdomain_of(zone_apex)) return NsecCoverage::kNoProof;
   NsecZone* zone = nsec_by_zone_.find(zone_apex);
-  NsecChain::value_type* node =
+  NsecEntry* entry =
       zone == nullptr ? nullptr : span_predecessor(zone_apex, *zone, qname);
-  if (node != nullptr) {
+  if (entry != nullptr) {
     bool stop_shared = false;
-    const NsecCoverage local =
-        classify_nsec_entry(zone_apex, node->first, node->second, qname,
-                            qtype, expires_us, &stop_shared);
+    const NsecCoverage local = classify_nsec_entry(
+        zone_apex, *entry, qname, qtype, expires_us, &stop_shared);
     if (local != NsecCoverage::kNoProof || stop_shared) return local;
   }
   return shared_nsec_check(zone_apex, qname, qtype, expires_us, from_shared);
@@ -661,22 +660,25 @@ std::size_t ResolverCache::sweep_section(Section section, std::size_t budget) {
       // hold a 100k-entry chain, and visiting a whole chain per tick would
       // defeat the amortization. The per-zone `hand` resumes mid-chain.
       nsec_by_zone_.sweep(cursor, 1, [&](const dns::Name&, NsecZone& zone) {
-        auto it = zone.hand.is_root() ? zone.chain.begin()
-                                      : zone.chain.lower_bound(zone.hand);
-        std::size_t visited = 0;
-        while (it != zone.chain.end() && visited < budget) {
-          ++visited;
-          if (it->second.expires_us <= now_us) {
-            release(it->second.cost);
+        NsecChain& chain = zone.chain;
+        auto read = zone.hand.is_root() ? chain.begin()
+                                        : chain_lower_bound(chain, zone.hand);
+        // Live entries of the visited window slide left over the expired
+        // ones, and the gap closes with one erase.
+        auto write = read;
+        for (std::size_t visited = 0; read != chain.end() && visited < budget;
+             ++visited, ++read) {
+          if ((*read)->expires_us <= now_us) {
+            release((*read)->cost);
             ++reclaimed;
-            it = zone.chain.erase(it);
-            ++zone.generation;
           } else {
-            ++it;
+            if (write != read) *write = std::move(*read);
+            ++write;
           }
         }
-        zone.hand = it == zone.chain.end() ? dns::Name{} : it->first;
-        return zone.chain.empty();
+        const auto next = chain.erase(write, read);
+        zone.hand = next == chain.end() ? dns::Name{} : (*next)->owner;
+        return chain.empty();
       });
       break;
     case kZoneCut:
@@ -792,29 +794,30 @@ bool ResolverCache::evict_step(Section section, std::size_t budget) {
       break;
     case kNsec:
       nsec_by_zone_.sweep(cursor, 1, [&](const dns::Name&, NsecZone& zone) {
-        auto it = zone.hand.is_root() ? zone.chain.begin()
-                                      : zone.chain.lower_bound(zone.hand);
+        NsecChain& chain = zone.chain;
+        auto it = zone.hand.is_root() ? chain.begin()
+                                      : chain_lower_bound(chain, zone.hand);
         std::size_t visited = 0;
-        while (it != zone.chain.end() && visited < budget && evicted == 0) {
+        while (it != chain.end() && visited < budget && evicted == 0) {
           ++visited;
-          if (it->second.referenced) {
-            it->second.referenced = false;
+          NsecEntry& entry = **it;
+          if (entry.referenced) {
+            entry.referenced = false;
             ++it;
-          } else if (it->second.chances > 0) {
+          } else if (entry.chances > 0) {
             // Load-bearing span under the RFC 8198 profile: burn one of its
             // earned chances instead of evicting (see CacheLimits).
-            --it->second.chances;
+            --entry.chances;
             ++it;
           } else {
-            release(it->second.cost);
+            release(entry.cost);
             evicted = 1;
-            trace_eviction(kNsec, it->first);
-            it = zone.chain.erase(it);
-            ++zone.generation;
+            trace_eviction(kNsec, entry.owner);
+            it = chain.erase(it);
           }
         }
-        zone.hand = it == zone.chain.end() ? dns::Name{} : it->first;
-        return zone.chain.empty();
+        zone.hand = it == chain.end() ? dns::Name{} : (*it)->owner;
+        return chain.empty();
       });
       break;
     case kZoneCut:

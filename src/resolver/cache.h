@@ -277,12 +277,6 @@ class ResolverCache {
   [[nodiscard]] const metrics::CounterSet& counters() const { return counters_; }
 
  private:
-  struct CanonicalLess {
-    bool operator()(const dns::Name& a, const dns::Name& b) const {
-      // canonical_compare short-circuits equal names via the cached hash.
-      return a.canonical_compare(b) < 0;
-    }
-  };
   struct PositiveEntry {
     dns::RRset rrset;
     std::uint64_t expires_us = 0;
@@ -301,6 +295,7 @@ class ResolverCache {
     bool referenced = false;
   };
   struct NsecEntry {
+    dns::Name owner;
     /// Interned id of the span's next owner (DESIGN.md §4k): the chain
     /// stores each distinct name once in the cache arena, so this duplicate
     /// of the successor's owner name is pointer-width instead of a full
@@ -326,30 +321,24 @@ class ResolverCache {
   using TypeSlots = std::vector<std::pair<dns::RRType, V>>;
   using PositiveSlots = TypeSlots<std::unique_ptr<PositiveEntry>>;
   // NSEC chains stay ordered: coverage checks need the greatest owner
-  // <= qname (predecessor query), which a hash table cannot answer. The
-  // wrapper carries the per-zone resume hand for incremental sweeps, so a
-  // 100k-entry DLV chain is reclaimed a few entries per tick instead of in
-  // one stall.
-  using NsecChain = std::map<dns::Name, NsecEntry, CanonicalLess>;
+  // <= qname (predecessor query), which a hash table cannot answer.
+  // -- Span index (DESIGN.md §4j) --
+  // Each chain is one vector of boxed entries sorted by owner in canonical
+  // order, so the predecessor query is one binary search over contiguous
+  // pointers. Inserts and erases shift pointers in place: the order is kept
+  // in step with every mutation and never rebuilt. The wrapper carries the
+  // per-zone resume hand for incremental sweeps, so a 100k-entry DLV chain
+  // is reclaimed a few entries per tick instead of in one stall.
+  using NsecChain = std::vector<std::unique_ptr<NsecEntry>>;
   struct NsecZone {
     NsecChain chain;
     dns::Name hand;  // sweep/eviction resume position (root = begin)
-    // -- Span index (DESIGN.md §4j) --
-    // Lazily rebuilt sorted array of pointers into the chain's (pointer-
-    // stable) map nodes, so the predecessor query is one binary search over
-    // contiguous memory instead of a node-hopping tree descent — this is
-    // what closes the 301ns negative-probe vs 57ns positive-probe gap.
-    // `generation` is bumped on every structural chain mutation (insert or
-    // erase); a stale `index_generation` invalidates the index.
-    std::vector<NsecChain::value_type*> index;
-    std::uint64_t generation = 1;
-    std::uint64_t index_generation = 0;
   };
   struct Nsec3ZoneEvidence {
     crypto::Bytes salt;
     std::uint16_t iterations = 0;
     /// Proven closest enclosers (wildcard absence included) -> expiry.
-    std::map<dns::Name, std::uint64_t, CanonicalLess> enclosers;
+    std::map<dns::Name, std::uint64_t> enclosers;  // canonical order
     struct HashedSpan {
       crypto::Bytes lo;  // owner hash
       crypto::Bytes hi;  // next_hashed
@@ -385,8 +374,7 @@ class ResolverCache {
   /// Non-static: dereferences entry.next through the arena. The formula is
   /// unchanged from the pre-interning layout — accounted cost must not move
   /// or the pinned eviction order would.
-  [[nodiscard]] std::size_t nsec_cost(const dns::Name& owner,
-                                      const NsecEntry& entry) const;
+  [[nodiscard]] std::size_t nsec_cost(const NsecEntry& entry) const;
   [[nodiscard]] static std::size_t zone_cut_cost(const dns::Name& apex);
 
   void charge(std::size_t cost);
@@ -406,23 +394,20 @@ class ResolverCache {
                                          dns::RRType qtype,
                                          std::uint64_t* expires_us,
                                          bool* from_shared);
-  /// Greatest live owner <= qname in `zone`, or nullptr: an indexed probe
-  /// with a fall-back to the ordered chain walk when the index candidate
-  /// has expired; the walk reclaims expired entries it meets.
-  [[nodiscard]] NsecChain::value_type* span_predecessor(
+  /// Greatest live owner <= qname in `zone`, or nullptr: one binary search,
+  /// then a walk left past expired candidates, which it reclaims.
+  [[nodiscard]] NsecEntry* span_predecessor(
       const dns::Name& zone_apex, NsecZone& zone, const dns::Name& qname);
   /// classify_nsec_span over one live chain entry, plus the hit
   /// bookkeeping. `*stop_shared` is set when an exact entry says the type
   /// exists — a sibling's proof cannot contradict a validated span, so the
   /// shared consult is skipped.
   [[nodiscard]] NsecCoverage classify_nsec_entry(const dns::Name& zone_apex,
-                                                 const dns::Name& owner,
                                                  NsecEntry& entry,
                                                  const dns::Name& qname,
                                                  dns::RRType qtype,
                                                  std::uint64_t* expires_us,
                                                  bool* stop_shared);
-  static void rebuild_span_index(NsecZone& zone);
   /// L2 NSEC consult when the private chain has no proof: asks the shared
   /// store (when attached); a hit counts "cache.nsec_shared_hit" and sets
   /// `*from_shared`.

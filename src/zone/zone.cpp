@@ -9,13 +9,61 @@ Zone::Zone(dns::Name apex, dns::SoaRdata soa, std::uint32_t soa_ttl)
   add(dns::ResourceRecord::make(apex_, soa_ttl, soa_));
 }
 
+Zone::Zone(const Zone& other)
+    : apex_(other.apex_), soa_(other.soa_), names_(other.names_) {
+  rebuild_index();
+}
+
+Zone& Zone::operator=(const Zone& other) {
+  if (this != &other) {
+    apex_ = other.apex_;
+    soa_ = other.soa_;
+    names_ = other.names_;
+    rebuild_index();
+  }
+  return *this;
+}
+
+void Zone::index_node(Node* node) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = node->first.hash() & mask;
+  while (index_[i] != nullptr) i = (i + 1) & mask;
+  index_[i] = node;
+}
+
+void Zone::rebuild_index() {
+  std::size_t capacity = 16;
+  while (capacity < 2 * names_.size()) capacity *= 2;
+  index_.assign(capacity, nullptr);
+  for (Node& node : names_) index_node(&node);
+}
+
+Zone::TypeMap* Zone::types_of(const dns::Name& name) const {
+  if (index_.empty()) return nullptr;  // moved-from
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = name.hash() & mask;; i = (i + 1) & mask) {
+    Node* node = index_[i];
+    if (node == nullptr) return nullptr;
+    if (node->first == name) return &node->second;
+  }
+}
+
 void Zone::add(dns::ResourceRecord record) {
   if (!record.name.is_subdomain_of(apex_)) {
     throw std::invalid_argument("record " + record.name.to_text() +
                                 " outside zone " + apex_.to_text());
   }
-  TypeMap& types = names_[record.name];
-  auto [it, inserted] = types.try_emplace(
+  TypeMap* types = types_of(record.name);
+  if (types == nullptr) {
+    Node* node = &*names_.try_emplace(record.name).first;
+    if (2 * names_.size() > index_.size()) {
+      rebuild_index();
+    } else {
+      index_node(node);
+    }
+    types = &node->second;
+  }
+  auto [it, inserted] = types->try_emplace(
       record.type, dns::RRset(record.name, record.type));
   it->second.add(std::move(record));
 }
@@ -25,14 +73,14 @@ const dns::RRset& Zone::soa_rrset() const {
 }
 
 bool Zone::has_name(const dns::Name& name) const {
-  return names_.count(name) != 0;
+  return types_of(name) != nullptr;
 }
 
 const dns::RRset* Zone::find(const dns::Name& name, dns::RRType type) const {
-  const auto name_it = names_.find(name);
-  if (name_it == names_.end()) return nullptr;
-  const auto type_it = name_it->second.find(type);
-  return type_it == name_it->second.end() ? nullptr : &type_it->second;
+  const TypeMap* types = types_of(name);
+  if (types == nullptr) return nullptr;
+  const auto type_it = types->find(type);
+  return type_it == types->end() ? nullptr : &type_it->second;
 }
 
 LookupResult Zone::lookup(const dns::Name& qname, dns::RRType qtype) const {
@@ -67,20 +115,20 @@ LookupResult Zone::lookup(const dns::Name& qname, dns::RRType qtype) const {
     }
   }
 
-  const auto name_it = names_.find(qname);
-  if (name_it == names_.end()) {
+  const TypeMap* types = types_of(qname);
+  if (types == nullptr) {
     result.kind = LookupKind::kNxDomain;
     return result;
   }
-  const auto type_it = name_it->second.find(qtype);
-  if (type_it != name_it->second.end()) {
+  const auto type_it = types->find(qtype);
+  if (type_it != types->end()) {
     result.kind = LookupKind::kAnswer;
     result.rrset = &type_it->second;
     return result;
   }
   // CNAME at qname answers any type (the resolver chases it).
-  const auto cname_it = name_it->second.find(dns::RRType::kCname);
-  if (cname_it != name_it->second.end() && qtype != dns::RRType::kCname) {
+  const auto cname_it = types->find(dns::RRType::kCname);
+  if (cname_it != types->end() && qtype != dns::RRType::kCname) {
     result.kind = LookupKind::kAnswer;
     result.rrset = &cname_it->second;
     return result;
@@ -104,10 +152,10 @@ const dns::Name& Zone::canonical_successor(const dns::Name& name) const {
 
 std::vector<dns::RRType> Zone::types_at(const dns::Name& name) const {
   std::vector<dns::RRType> out;
-  const auto it = names_.find(name);
-  if (it == names_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [type, rrset] : it->second) out.push_back(type);
+  const TypeMap* types = types_of(name);
+  if (types == nullptr) return out;
+  out.reserve(types->size());
+  for (const auto& [type, rrset] : *types) out.push_back(type);
   return out;
 }
 

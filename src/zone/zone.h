@@ -1,10 +1,18 @@
-// Authoritative zone data: RRsets keyed by (name, type) in RFC 4034
-// canonical order, with the lookup semantics an authoritative server needs
-// (answers, referrals at zone cuts, NXDOMAIN/NODATA with NSEC neighbors).
+// Authoritative zone data: RRsets keyed by (name, type), with the lookup
+// semantics an authoritative server needs (answers, referrals at zone cuts,
+// NXDOMAIN/NODATA with NSEC neighbors).
+//
+// Owner names live in one std::map in RFC 4034 canonical order; only the
+// NSEC neighbor queries (canonical_predecessor/successor) and owner_names()
+// walk it. Exact-match lookups (find, has_name, lookup, types_at,
+// soa_rrset) go through an open-addressed hash index of pointers to the
+// map's pointer-stable nodes, keyed by the memoized Name::hash(), so they
+// cost one probe instead of a tree descent of canonical compares. The
+// index holds no name of its own; copying a zone rebuilds it against the
+// copy's nodes (DESIGN.md §4n).
 #pragma once
 
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "dns/name.h"
@@ -38,6 +46,14 @@ class Zone {
   /// Creates a zone rooted at `apex`; a SOA record is synthesized from
   /// `soa` and stored at the apex.
   Zone(dns::Name apex, dns::SoaRdata soa, std::uint32_t soa_ttl = 3600);
+
+  /// A copy indexes its own nodes, never the source's.
+  Zone(const Zone& other);
+  Zone& operator=(const Zone& other);
+  /// Moving keeps the nodes, so the index moves with them; a moved-from
+  /// zone holds no names and may be assigned to.
+  Zone(Zone&&) noexcept = default;
+  Zone& operator=(Zone&&) noexcept = default;
 
   /// Adds a record; throws std::invalid_argument if the owner is outside
   /// the zone.
@@ -82,17 +98,23 @@ class Zone {
   [[nodiscard]] std::vector<dns::Name> owner_names() const;
 
  private:
-  struct CanonicalLess {
-    bool operator()(const dns::Name& a, const dns::Name& b) const {
-      return a.canonical_compare(b) < 0;
-    }
-  };
   using TypeMap = std::map<dns::RRType, dns::RRset>;
-  using NameMap = std::map<dns::Name, TypeMap, CanonicalLess>;
+  using NameMap = std::map<dns::Name, TypeMap>;  // Name's < is canonical
+  using Node = NameMap::value_type;
+
+  /// The types stored at `name`, or nullptr: one hash-index probe.
+  [[nodiscard]] TypeMap* types_of(const dns::Name& name) const;
+  /// Places `node` in the index, which has a free slot.
+  void index_node(Node* node);
+  /// Sizes the index for names_ and fills it from names_' nodes.
+  void rebuild_index();
 
   dns::Name apex_;
   dns::SoaRdata soa_;
   NameMap names_;
+  // Linear-probed table of node pointers, a power of two at least twice
+  // names_.size() (null = empty slot); nodes are never erased.
+  std::vector<Node*> index_;
 };
 
 }  // namespace lookaside::zone

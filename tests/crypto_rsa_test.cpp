@@ -1,6 +1,7 @@
 // Unit tests for RSA keygen/sign/verify and the DNSSEC algorithm façade.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "crypto/dnssec_algo.h"
@@ -150,31 +151,19 @@ TEST(RsaTest, GoldenSignaturesAreByteIdentical) {
   }
 }
 
-/// A prime of exactly `bits` bits with its top two bits set, so a product
-/// of two reaches the full modulus width.
-BigUint test_prime(std::size_t bits, SplitMix64& rng) {
-  for (;;) {
-    Bytes raw(bits / 8);
-    rng.fill(raw);
-    raw[0] |= 0xC0;
-    raw.back() |= 0x01;
-    const BigUint candidate = BigUint::from_bytes_be(raw);
-    if (is_probable_prime(candidate, rng)) return candidate;
-  }
-}
-
 TEST(RsaTest, CrtAndPlainSigningAgree) {
   // The CRT path (two half-width exponentiations and Garner's
   // recombination) and the plain full-width s = m^d mod n run the kernel at
   // different widths; both must give the unique residue, byte for byte.
   // 288 bits gives 144-bit primes, whose top 64-bit word is a quarter full.
+  // generate_prime sets each prime's top two bits, so n has the full width.
   SplitMix64 rng(0x435254);
   const BigUint e(65537);
   for (std::size_t bits : {256u, 288u, 512u, 1024u}) {
     BigUint p, q, phi;
     do {
-      p = test_prime(bits / 2, rng);
-      q = test_prime(bits / 2, rng);
+      p = generate_prime(bits / 2, rng, prime_candidate_budget(bits / 2));
+      q = generate_prime(bits / 2, rng, prime_candidate_budget(bits / 2));
       phi = BigUint::mul(BigUint::sub(p, BigUint(1)),
                          BigUint::sub(q, BigUint(1)));
     } while (p == q || BigUint::gcd(e, phi) != BigUint(1));
@@ -197,6 +186,29 @@ TEST(RsaTest, KeygenValidatesParameters) {
   SplitMix64 rng(1);
   EXPECT_THROW(generate_rsa_keypair(128, rng), std::invalid_argument);
   EXPECT_THROW(generate_rsa_keypair(300, rng), std::invalid_argument);
+}
+
+TEST(RsaTest, PrimeSearchThrowsWhenItsCandidateBudgetRunsOut) {
+  // With a one-candidate budget the search either returns the prime the
+  // full search finds first (the first candidate was prime) or throws.
+  std::size_t exhausted = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SplitMix64 full_rng(seed);
+    const BigUint prime =
+        generate_prime(128, full_rng, prime_candidate_budget(128));
+    EXPECT_EQ(prime.bit_length(), 128u);
+    SplitMix64 check_rng(seed);
+    EXPECT_TRUE(is_probable_prime(prime, check_rng));
+    SplitMix64 one_rng(seed);
+    try {
+      EXPECT_EQ(generate_prime(128, one_rng, 1), prime) << "seed " << seed;
+    } catch (const std::runtime_error&) {
+      ++exhausted;
+    }
+  }
+  EXPECT_GT(exhausted, 0u);
+  SplitMix64 rng(1);
+  EXPECT_THROW((void)generate_prime(128, rng, 0), std::runtime_error);
 }
 
 TEST(EmsaPadTest, FullPaddingLayout) {

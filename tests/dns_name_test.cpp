@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/rng.h"
@@ -154,6 +155,112 @@ TEST(NamePropertyTest, CanonicalCompareIsTotalOrder) {
       }
     }
   }
+}
+
+// The label-by-label RFC 4034 §6.1 comparison canonical_compare replaced:
+// walk both label sequences from the right, compare each label pair as
+// bytes, and let the name that runs out of labels first sort first.
+int label_by_label_oracle(const Name& x, const Name& y) {
+  std::string_view a = x.internal_text();
+  std::string_view b = y.internal_text();
+  while (!a.empty() && !b.empty()) {
+    const std::size_t dot_a = a.rfind('.');
+    const std::size_t dot_b = b.rfind('.');
+    const std::string_view label_a =
+        dot_a == std::string_view::npos ? a : a.substr(dot_a + 1);
+    const std::string_view label_b =
+        dot_b == std::string_view::npos ? b : b.substr(dot_b + 1);
+    const int cmp = label_a.compare(label_b);
+    if (cmp != 0) return cmp < 0 ? -1 : 1;
+    a = dot_a == std::string_view::npos ? std::string_view{}
+                                        : a.substr(0, dot_a);
+    b = dot_b == std::string_view::npos ? std::string_view{}
+                                        : b.substr(0, dot_b);
+  }
+  if (a.empty() != b.empty()) return a.empty() ? -1 : 1;
+  return 0;
+}
+
+int sign(int value) { return (value > 0) - (value < 0); }
+
+// A pool of names in families that share suffixes: each family holds a
+// base name, its ancestors, siblings that differ only in the leftmost
+// label, and children. Labels are 1-4 bytes over `a b - 0 0x80 0xFF`, so
+// labels that are byte prefixes of each other, bytes above 0x7F and
+// equal tails across a dot all come up often. The root is included.
+std::vector<Name> canonical_order_pool(crypto::SplitMix64& rng,
+                                       std::size_t families) {
+  static constexpr char kAlphabet[] = {'a', 'b', '-', '0', '\x80', '\xFF'};
+  const auto label = [&rng] {
+    std::string out(1 + rng.next_below(4), 'a');
+    for (char& c : out) c = kAlphabet[rng.next_below(sizeof kAlphabet)];
+    return out;
+  };
+  std::vector<Name> pool = {Name::root()};
+  for (std::size_t f = 0; f < families; ++f) {
+    Name base = Name::root();
+    const std::size_t depth = 1 + rng.next_below(4);
+    for (std::size_t i = 0; i < depth; ++i) {
+      base = base.with_prefix_label(label());
+    }
+    for (Name up = base; !up.is_root(); up = up.parent()) pool.push_back(up);
+    for (int s = 0; s < 4; ++s) {
+      pool.push_back(base.parent().with_prefix_label(label()));
+      pool.push_back(base.with_prefix_label(label()));
+    }
+  }
+  return pool;
+}
+
+TEST(NameCanonicalOrderTest, MatchesLabelByLabelOracleOnRandomPairs) {
+  crypto::SplitMix64 rng(0x0D3E);
+  const std::vector<Name> pool = canonical_order_pool(rng, 4'000);
+  // Half the pairs come from one family (ancestor/descendant or siblings
+  // under a shared suffix), half from anywhere in the pool.
+  constexpr std::size_t kPairs = 1'000'000;
+  constexpr std::size_t kFamilySpan = 16;
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const std::size_t ia = rng.next_below(pool.size());
+    const std::size_t ib =
+        i % 2 == 0 ? rng.next_below(pool.size())
+                   : std::min(pool.size() - 1,
+                              ia - std::min(ia, kFamilySpan / 2) +
+                                  rng.next_below(kFamilySpan));
+    const Name& a = pool[ia];
+    const Name& b = pool[ib];
+    const int want = label_by_label_oracle(a, b);
+    const int ab = a.canonical_compare(b);
+    const int ba = b.canonical_compare(a);
+    if (sign(ab) != want || sign(ba) != -want) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << a.to_text() << " vs " << b.to_text() << ": "
+                      << ab << " / " << ba << ", oracle " << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(NameCanonicalOrderTest, SortAgreesWithLabelByLabelOracle) {
+  crypto::SplitMix64 rng(0x5047);
+  std::vector<Name> pool = canonical_order_pool(rng, 2'000);
+  std::sort(pool.begin(), pool.end());
+  ASSERT_TRUE(pool.front().is_root());
+  for (std::size_t i = 1; i < pool.size(); ++i) {
+    ASSERT_LE(label_by_label_oracle(pool[i - 1], pool[i]), 0)
+        << pool[i - 1].to_text() << " sorted before " << pool[i].to_text();
+    ASSERT_EQ(pool[i - 1].canonical_compare(pool[i]) == 0,
+              pool[i - 1] == pool[i]);
+  }
+  // Sorting with the oracle yields the same sequence.
+  std::vector<Name> by_oracle = pool;
+  std::reverse(by_oracle.begin(), by_oracle.end());
+  std::stable_sort(by_oracle.begin(), by_oracle.end(),
+                   [](const Name& a, const Name& b) {
+                     return label_by_label_oracle(a, b) < 0;
+                   });
+  EXPECT_EQ(by_oracle, pool);
 }
 
 TEST(NamePropertyTest, ParentIsPrefixInverse) {

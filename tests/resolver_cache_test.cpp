@@ -3,13 +3,18 @@
 // and zone-cut tracking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "crypto/rng.h"
 #include "denial_probe.h"
+#include "obs/trace_sink.h"
+#include "obs/tracer.h"
 #include "resolver/cache.h"
 #include "sim/clock.h"
 
@@ -511,6 +516,149 @@ TEST_F(CacheModelTest, RandomizedTraceMatchesOrderedMapModel) {
   EXPECT_EQ(cache_.counters().value("cache.miss"), misses_);
   EXPECT_EQ(cache_.counters().value("cache.negative_hit"), negative_hits_);
   EXPECT_EQ(cache_.counters().value("cache.servfail_hit"), servfail_hits_);
+}
+
+/// Collects the owners of evicted NSEC spans, so a model can follow the
+/// cache's own clock-eviction choices.
+class NsecEvictionSink : public obs::TraceSink {
+ public:
+  void on_event(const obs::Event& event) override {
+    if (event.kind == obs::EventKind::kCacheEvicted &&
+        event.detail == "nsec") {
+      evicted.push_back(event.name);
+    }
+  }
+  std::vector<std::string> evicted;
+};
+
+/// Drives the aggressive NSEC store through interleaved stores, TTL
+/// expiry, amortized sweeps and byte-cap evictions across two zones, and
+/// after every step checks probes against a linear scan over the spans the
+/// model knows to be stored and live. A chain whose order index went stale
+/// or missed an insert or erase answers some probe with the wrong span.
+using NsecChainCanonicalOrderTest = CacheTest;
+
+TEST_F(NsecChainCanonicalOrderTest, ProbesMatchLinearScanOracle) {
+  struct Span {
+    dns::Name owner;
+    dns::Name next;
+    std::vector<dns::RRType> types;
+    std::uint64_t expires_us = 0;
+  };
+  const dns::Name zones[] = {dns::Name::parse("dlv.example"),
+                             dns::Name::parse("b.test")};
+  // Owners and probes share suffixes: siblings, parents and children, with
+  // labels that are byte prefixes of each other.
+  crypto::SplitMix64 rng(0x4E53);
+  std::vector<dns::Name> names[2];
+  const char* labels[] = {"a", "ab", "b", "a-b", "0", "ba", "aa", "b0"};
+  for (int z = 0; z < 2; ++z) {
+    for (const char* top : labels) {
+      const dns::Name parent = zones[z].with_prefix_label(top);
+      names[z].push_back(parent);
+      for (const char* leaf : labels) {
+        names[z].push_back(parent.with_prefix_label(leaf));
+      }
+    }
+  }
+  const dns::RRType bitmaps[][3] = {
+      {dns::RRType::kA, dns::RRType::kRrsig, dns::RRType::kNsec},
+      {dns::RRType::kNs, dns::RRType::kDs, dns::RRType::kNsec},
+      {dns::RRType::kNs, dns::RRType::kSoa, dns::RRType::kNsec},
+  };
+  const dns::RRType qtypes[] = {dns::RRType::kA, dns::RRType::kDs,
+                                dns::RRType::kTxt};
+
+  auto sink = std::make_shared<NsecEvictionSink>();
+  obs::Tracer tracer;
+  tracer.attach_clock(clock_);
+  tracer.add_sink(sink);
+  cache_.set_tracer(&tracer);
+  CacheLimits limits;
+  limits.max_bytes = 6'000;  // about 30 spans
+  limits.sweep_step = 4;
+  limits.nsec_extra_chances = 1;
+  cache_.set_limits(limits);
+
+  std::vector<Span> model[2];
+  const auto forget = [&model](int z, const dns::Name& owner) {
+    auto& spans = model[z];
+    spans.erase(std::remove_if(spans.begin(), spans.end(),
+                               [&](const Span& s) { return s.owner == owner; }),
+                spans.end());
+  };
+  const auto oracle = [&](int z, const dns::Name& qname, dns::RRType qtype) {
+    if (!qname.is_subdomain_of(zones[z])) return NsecCoverage::kNoProof;
+    const Span* best = nullptr;
+    for (const Span& span : model[z]) {
+      if (span.expires_us <= clock_.now_us()) continue;
+      if (qname.canonical_compare(span.owner) < 0) continue;
+      if (best == nullptr || best->owner.canonical_compare(span.owner) < 0) {
+        best = &span;
+      }
+    }
+    if (best == nullptr) return NsecCoverage::kNoProof;
+    return classify_nsec_span(zones[z], best->owner, best->next, best->types,
+                              qname, qtype);
+  };
+  const auto apply_evictions = [&] {
+    for (const std::string& text : sink->evicted) {
+      const dns::Name owner = dns::Name::parse(text);
+      for (int z = 0; z < 2; ++z) forget(z, owner);
+    }
+    sink->evicted.clear();
+  };
+
+  std::size_t probes = 0;
+  for (int step = 0; step < 4'000; ++step) {
+    const int z = static_cast<int>(rng.next_below(2));
+    const std::uint64_t op = rng.next_below(20);
+    if (op < 9) {  // store a span; overwrites of a stored owner included
+      Span span;
+      span.owner = rng.next_below(16) == 0
+                       ? zones[z]
+                       : names[z][rng.next_below(names[z].size())];
+      span.next = rng.next_below(8) == 0
+                      ? zones[z]
+                      : names[z][rng.next_below(names[z].size())];
+      const auto& bitmap = bitmaps[rng.next_below(3)];
+      span.types.assign(std::begin(bitmap), std::end(bitmap));
+      const auto ttl = static_cast<std::uint32_t>(1 + rng.next_below(40));
+      span.expires_us =
+          clock_.now_us() + static_cast<std::uint64_t>(ttl) * 1'000'000ULL;
+      store_nsec(zones[z].internal_text(), span.owner.internal_text(),
+                 span.next.internal_text(), ttl, span.types);
+      forget(z, span.owner);
+      model[z].push_back(std::move(span));
+    } else if (op < 11) {
+      clock_.advance_seconds(static_cast<double>(rng.next_below(6)));
+    } else if (op < 13) {
+      cache_.sweep_expired(1 + rng.next_below(8));
+    } else {
+      cache_.maintain();  // sweep tick plus eviction down to the cap
+    }
+    apply_evictions();
+    // Every step ends with probes across both zones; one in eight is for a
+    // name outside the zone.
+    for (int p = 0; p < 6; ++p) {
+      const int pz = static_cast<int>(rng.next_below(2));
+      const dns::Name& qname =
+          rng.next_below(8) == 0
+              ? names[1 - pz][rng.next_below(names[1 - pz].size())]
+              : names[pz][rng.next_below(names[pz].size())];
+      const dns::RRType qtype = qtypes[rng.next_below(3)];
+      const NsecCoverage want = oracle(pz, qname, qtype);
+      ASSERT_EQ(nsec_check(cache_, zones[pz], qname, qtype), want)
+          << "step " << step << " zone " << zones[pz].to_text() << " qname "
+          << qname.to_text();
+      apply_evictions();  // probes never evict, but keep the model exact
+      ++probes;
+    }
+  }
+  EXPECT_GT(cache_.counters().value("cache.evicted.nsec"), 100u);
+  EXPECT_GT(cache_.counters().value("cache.expired_swept"), 30u);
+  EXPECT_GT(cache_.counters().value("cache.nsec_hit"), probes / 4);
+  cache_.set_tracer(nullptr);
 }
 
 }  // namespace
